@@ -6,6 +6,7 @@
 //! traced run's extra measurements; the end-to-end numbers come from
 //! untraced passes.
 
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,7 +44,14 @@ const FIGURE_THREADS: usize = 2;
 /// Figures 9 and 10 each simulate four predictors per workload trace.
 const FIGURE_CELLS: u64 = 8;
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 9;
+/// Sequenced chunks `wire-null` keeps in flight: the window every
+/// streaming caller in the repository uses (`tracegen replay --remote`,
+/// `bench_harness`).
+const WIRE_WINDOW: usize = 4;
+/// Threads the process runs while a `wire-null` fixture is up: the
+/// driving thread, the server's accept loop and its connection worker.
+const WIRE_THREADS: usize = 3;
 /// Fewest untraced passes a run makes, however short `--seconds` is.
 const MIN_PASSES: usize = 3;
 /// Repetitions of each traced-run extra (ladder rungs, encode, timing).
@@ -91,12 +99,7 @@ impl Outcome {
         c.offchip_writes += d.offchip_writes;
         c.invalidations += d.invalidations;
         self.pst_probes += o.pst_probes;
-        let (r, q) = (&mut self.recon, &o.recon);
-        r.exact += q.exact;
-        r.shifted1 += q.shifted1;
-        r.shifted2 += q.shifted2;
-        r.dropped_conflict += q.dropped_conflict;
-        r.dropped_window += q.dropped_window;
+        self.recon.merge(&o.recon);
     }
 }
 
@@ -105,6 +108,9 @@ struct Wire {
     client: Client,
     /// The session opened during set-up, used by the first pass.
     opened: Option<u32>,
+    /// Chunks written and not yet answered: when each write began, and
+    /// the accesses fed through that chunk. Reused across passes.
+    in_flight: VecDeque<(Instant, u64)>,
     server: JoinHandle<std::io::Result<()>>,
 }
 
@@ -162,6 +168,14 @@ impl Fixture {
         match self {
             Fixture::Replay { .. } => 1,
             Fixture::Figures { .. } => FIGURE_THREADS,
+        }
+    }
+
+    /// Threads the process runs between passes.
+    fn threads(&self) -> usize {
+        match self {
+            Fixture::Replay { wire: Some(_), .. } => WIRE_THREADS,
+            _ => 1,
         }
     }
 
@@ -230,6 +244,7 @@ fn start_wire(tr: &mut Tracer) -> Result<Wire, String> {
     Ok(Wire {
         client,
         opened: Some(session),
+        in_flight: VecDeque::with_capacity(WIRE_WINDOW),
         server: handle,
     })
 }
@@ -282,13 +297,33 @@ enum Variant {
     Hooked,
 }
 
+/// Per-chunk times of one pass (none for a figure pass).
+#[derive(Debug, Default)]
+struct ChunkTimes {
+    /// Back-to-back, non-overlapping parts of the pass, one per chunk in
+    /// order: a chunk's decode and run in-process; on the wire, the time
+    /// from one answered chunk to the next.
+    segments: Vec<f64>,
+    /// Each chunk's latency: decode and run in-process; on the wire,
+    /// from its write to its `Stats`, so with a window they overlap.
+    latencies: Vec<f64>,
+}
+
+impl ChunkTimes {
+    fn with_capacity(chunks: usize) -> ChunkTimes {
+        ChunkTimes {
+            segments: Vec::with_capacity(chunks),
+            latencies: Vec::with_capacity(chunks),
+        }
+    }
+}
+
 /// One pass's measurements. Times are as measured; multiply by `speed`
 /// to scale them to the reference machine.
 #[derive(Debug)]
 struct Pass {
     secs: f64,
-    /// Latency of each chunk in order (none for a figure pass).
-    chunk_secs: Vec<f64>,
+    chunks: ChunkTimes,
     /// [`calib::speed`] just before the pass.
     speed: f64,
     thread_allocs: u64,
@@ -330,9 +365,9 @@ impl Bench {
     /// One pass over the workload; returns what it measured and the
     /// output to check.
     fn pass(&mut self, variant: Variant) -> Result<(Pass, Expect), String> {
-        let speed = calib::speed(self.fixture.busy_threads());
+        let speed = calib::speed(self.fixture.busy_threads(), self.fixture.threads())?;
         // Reserved before the allocation counters are read.
-        let mut chunk_secs = Vec::with_capacity(self.fixture.pass_chunks());
+        let mut chunks = ChunkTimes::with_capacity(self.fixture.pass_chunks());
         let threads_before = alloc::this_thread();
         let total_before = alloc::total();
         let start = Instant::now();
@@ -345,9 +380,16 @@ impl Bench {
                 store,
                 wire: Some(wire),
                 ..
-            } => wire_pass(wire, store, &mut self.tr, &mut chunk_secs),
+            } => wire_pass(
+                wire,
+                store,
+                WIRE_WINDOW,
+                CLIENT_SPANS,
+                &mut self.tr,
+                &mut chunks,
+            ),
             Fixture::Replay { gen, store, .. } => {
-                replay_pass(*gen, store, hook, &mut self.tr, &mut chunk_secs)
+                replay_pass(*gen, store, hook, &mut self.tr, &mut chunks)
             }
             Fixture::Figures { traces } => {
                 let cells =
@@ -367,7 +409,7 @@ impl Bench {
         Ok((
             Pass {
                 secs,
-                chunk_secs,
+                chunks,
                 speed,
                 thread_allocs: alloc::this_thread() - threads_before,
                 total_allocs: alloc::total() - total_before,
@@ -383,7 +425,7 @@ fn replay_pass(
     store: &[u8],
     hook: Option<SessionObs>,
     tr: &mut Tracer,
-    chunk_secs: &mut Vec<f64>,
+    chunks: &mut ChunkTimes,
 ) -> Result<Expect, String> {
     let sys = runner::system_config(REPLAY_SCALE);
     let mut session = runner::session_builder(gen, Predictor::Stems, &sys).build();
@@ -403,19 +445,30 @@ fn replay_pass(
         let s = tr.begin("session.run_chunk");
         session.run_chunk(chunk);
         tr.end(s, n);
-        chunk_secs.push(t0.elapsed().as_secs_f64());
+        let secs = t0.elapsed().as_secs_f64();
+        chunks.segments.push(secs);
+        chunks.latencies.push(secs);
     }
     Ok(Expect::Outcome(Outcome::of(&mut session)))
 }
 
-/// Streams the store over the wire into a fresh null-predictor session.
-/// The window is one chunk in flight, so each round trip is one chunk's
-/// latency and its parts (send, server run, wait) can be told apart.
+/// Span names of a wire pass's writes and waits.
+type WireSpans = (&'static str, &'static str);
+/// The measured passes' spans.
+const CLIENT_SPANS: WireSpans = ("client.send", "client.wait");
+/// The traced run's one-chunk-in-flight passes, whose round trips split
+/// into client, server and the rest.
+const WINDOW1_SPANS: WireSpans = ("window1.send", "window1.wait");
+
+/// Streams the store over the wire into a fresh null-predictor session,
+/// keeping up to `window` sequenced chunks in flight.
 fn wire_pass(
     wire: &mut Wire,
     store: &[u8],
+    window: usize,
+    (send_span, wait_span): WireSpans,
     tr: &mut Tracer,
-    chunk_secs: &mut Vec<f64>,
+    chunks: &mut ChunkTimes,
 ) -> Result<Expect, String> {
     let session = match wire.opened.take() {
         Some(s) => s,
@@ -429,6 +482,29 @@ fn wire_pass(
     let mut reader = TraceReader::new(store).map_err(|e| format!("open store: {e}"))?;
     let mut fed = 0u64;
     let mut seq = 0u64;
+    let (mut answered, mut acked) = (0u64, 0u64);
+    wire.in_flight.clear();
+    let mut mark = Instant::now();
+    // Reads the oldest chunk's `Stats`, checks it, and times it.
+    let mut await_oldest = |wire: &mut Wire, tr: &mut Tracer| -> Result<(), String> {
+        let (written, fed_through) = wire.in_flight.pop_front().expect("a chunk in flight");
+        answered += 1;
+        let s = tr.begin(wait_span);
+        let stats = wire.client.read_stats();
+        tr.end(s, fed_through - acked);
+        acked = fed_through;
+        let stats = stats.map_err(|e| format!("chunk {answered}: {e}"))?;
+        chunks.latencies.push(written.elapsed().as_secs_f64());
+        chunks.segments.push(mark.elapsed().as_secs_f64());
+        mark = Instant::now();
+        if stats.session != session || stats.accesses_fed != fed_through {
+            return Err(format!(
+                "chunk {answered}: stats for session {} at {} accesses, expected {session} at {fed_through}",
+                stats.session, stats.accesses_fed
+            ));
+        }
+        Ok(())
+    };
     loop {
         let s = tr.begin("trace.store.decode");
         let next = reader.next_chunk();
@@ -437,24 +513,19 @@ fn wire_pass(
         let Some(chunk) = next.map_err(|e| format!("decode: {e}"))? else {
             break;
         };
+        if wire.in_flight.len() == window {
+            await_oldest(wire, tr)?;
+        }
         seq += 1;
-        let t0 = Instant::now();
-        let s = tr.begin("client.send");
+        fed += n;
+        wire.in_flight.push_back((Instant::now(), fed));
+        let s = tr.begin(send_span);
         let sent = wire.client.write_seq_chunk(session, seq, chunk);
         tr.end(s, n);
         sent.map_err(|e| format!("chunk {seq}: send: {e}"))?;
-        let s = tr.begin("client.wait");
-        let stats = wire.client.read_stats();
-        tr.end(s, n);
-        let stats = stats.map_err(|e| format!("chunk {seq}: {e}"))?;
-        chunk_secs.push(t0.elapsed().as_secs_f64());
-        fed += n;
-        if stats.session != session || stats.accesses_fed != fed {
-            return Err(format!(
-                "chunk {seq}: stats for session {} at {} accesses, expected {session} at {fed}",
-                stats.session, stats.accesses_fed
-            ));
-        }
+    }
+    while !wire.in_flight.is_empty() {
+        await_oldest(wire, tr)?;
     }
     let s = tr.begin("client.close");
     let summary = wire.client.close(session);
@@ -519,7 +590,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
         if let Some(previous) = fixture.take() {
             previous.close()?;
         }
-        let speed = calib::speed(1);
+        let speed = calib::speed(1, 1)?;
         let t0 = Instant::now();
         fixture = Some(setup(args.workload, args.seed, &mut tr)?);
         setup_secs.push(t0.elapsed().as_secs_f64() * speed);
@@ -586,7 +657,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
         args.workload.name(),
         args.seed,
         bench.samples.len(),
-        bench.speed(),
+        bench.speed(Variant::Plain),
         bench.attempted,
         u64::from(error.is_some())
     );
@@ -663,31 +734,35 @@ impl Bench {
             .map(|(_, p)| p)
     }
 
-    /// Accesses per second of a typical pass of `variant`, at reference
-    /// machine speed: one pass's accesses over the sum of each chunk
-    /// position's median latency and the median time outside chunks.
-    /// Without noise this is the median pass; a stall that hits a few
-    /// chunks of many passes moves it less.
-    fn rate(&self, variant: Variant) -> f64 {
+    /// Accesses per second of a typical pass of `variant`: one pass's
+    /// accesses over the sum of each chunk segment's median time and the
+    /// median time outside the segments. Without noise this is the median
+    /// pass; a stall that hits a few chunks of many passes moves it less.
+    /// Times are at reference machine speed when `scaled`, raw otherwise.
+    fn rate(&self, variant: Variant, scaled: bool) -> f64 {
         let passes: Vec<&Pass> = self.passes(variant).collect();
         let Some(first) = passes.first() else {
             return 0.0;
         };
+        let speed = |p: &Pass| if scaled { p.speed } else { 1.0 };
         let outside: Vec<f64> = passes
             .iter()
-            .map(|p| (p.secs - p.chunk_secs.iter().sum::<f64>()) * p.speed)
+            .map(|p| (p.secs - p.chunks.segments.iter().sum::<f64>()) * speed(p))
             .collect();
         let mut secs = median(&outside);
-        for k in 0..first.chunk_secs.len() {
-            let at_k: Vec<f64> = passes.iter().map(|p| p.chunk_secs[k] * p.speed).collect();
+        for k in 0..first.chunks.segments.len() {
+            let at_k: Vec<f64> = passes
+                .iter()
+                .map(|p| p.chunks.segments[k] * speed(p))
+                .collect();
             secs += median(&at_k);
         }
         ratio(self.fixture.pass_accesses() as f64, secs)
     }
 
-    /// Median [`calib::speed`] over the plain passes.
-    fn speed(&self) -> f64 {
-        let xs: Vec<f64> = self.passes(Variant::Plain).map(|p| p.speed).collect();
+    /// Median [`calib::speed`] over the passes of `variant`.
+    fn speed(&self, variant: Variant) -> f64 {
+        let xs: Vec<f64> = self.passes(variant).map(|p| p.speed).collect();
         median(&xs)
     }
 
@@ -698,10 +773,10 @@ impl Bench {
         self.passes(Variant::Plain)
             .flat_map(|p| {
                 let ms = p.speed * 1e3;
-                if p.chunk_secs.is_empty() {
+                if p.chunks.latencies.is_empty() {
                     vec![p.secs * ms]
                 } else {
-                    p.chunk_secs.iter().map(|s| s * ms).collect()
+                    p.chunks.latencies.iter().map(|s| s * ms).collect()
                 }
             })
             .collect()
@@ -712,7 +787,7 @@ impl Bench {
         let kacc = (self.fixture.pass_accesses() * plain.len() as u64) as f64 / 1e3;
         let allocs: u64 = plain.iter().map(|p| p.total_allocs).sum();
         let c = &stems.counters;
-        report.push("acc_per_s", self.rate(Variant::Plain), "1/s");
+        report.push("acc_per_s", self.rate(Variant::Plain, true), "1/s");
         report.push("chunk_ms_p50", percentile(&self.chunk_ms(), 50.0), "ms");
         report.push("setup_s", median(setup_secs), "s");
         report.push("peak_rss_mb", peak_rss_mb(), "MiB");
@@ -777,20 +852,25 @@ impl Bench {
         let wire = matches!(self.fixture, Fixture::Replay { wire: Some(_), .. });
         let wire_only = |v: f64| if wire { v } else { 0.0 };
         let plain: Vec<&Pass> = self.passes(Variant::Plain).collect();
-        let chunks = plain.iter().map(|p| p.chunk_secs.len()).sum::<usize>() as f64;
+        let chunks = plain
+            .iter()
+            .map(|p| p.chunks.latencies.len())
+            .sum::<usize>() as f64;
         let client_allocs: u64 = plain.iter().map(|p| p.thread_allocs).sum();
         let other_allocs: u64 = plain.iter().map(|p| p.total_allocs - p.thread_allocs).sum();
-        let (send, wait) = (layer("client.send"), layer("client.wait"));
+        // One chunk in flight: the round trip is the chunk's whole cost.
+        let (send, wait) = (layer(WINDOW1_SPANS.0), layer(WINDOW1_SPANS.1));
         let round_trip = ratio((send.self_ns + wait.self_ns) as f64, send.count as f64);
-        let plain_rate = self.rate(Variant::Plain);
-        let hooked_rate = self.rate(Variant::Hooked);
+        let plain_rate = self.rate(Variant::Plain, true);
+        let hooked_rate = self.rate(Variant::Hooked, true);
         let p = &path.counters;
         let acc = p.accesses as f64;
         let stems_acc = stems.counters.accesses as f64;
         let r = &stems.recon;
         let metrics = [
             ("chunk_ms_p90", percentile(&self.chunk_ms(), 90.0), "ms"),
-            ("calib.speed", self.speed(), "x"),
+            ("calib.speed", self.speed(Variant::Plain), "x"),
+            ("raw.acc_per_s", self.rate(Variant::Plain, false), "1/s"),
             (
                 "workloads.generate.ns_per_acc",
                 per("workloads.generate"),
@@ -925,7 +1005,7 @@ impl Bench {
             ),
             (
                 "trace.overhead_frac",
-                ratio(plain_rate, self.rate(Variant::Traced)) - 1.0,
+                ratio(plain_rate, self.rate(Variant::Traced, true)) - 1.0,
                 "1",
             ),
         ];
@@ -1005,9 +1085,24 @@ impl Bench {
         match &mut self.fixture {
             Fixture::Replay {
                 trace,
+                store,
                 wire: Some(wire),
                 ..
             } => {
+                // One chunk in flight, so each round trip splits into
+                // client send, server run and the rest.
+                for _ in 0..ROUNDS {
+                    self.attempted += 1;
+                    let mut chunks = ChunkTimes::default();
+                    let got = wire_pass(wire, store, 1, WINDOW1_SPANS, &mut self.tr, &mut chunks);
+                    match got {
+                        Ok(got) if Some(&got) == self.expect.as_ref() => {}
+                        Ok(_) => out
+                            .failures
+                            .push("a one-in-flight wire pass differs from the reference".into()),
+                        Err(e) => out.failures.push(format!("one-in-flight wire pass: {e}")),
+                    }
+                }
                 let (mut frame, mut scratch, mut bytes) = (Vec::new(), Vec::new(), 0usize);
                 for _ in 0..ROUNDS {
                     for (i, chunk) in trace.as_slice().chunks(DEFAULT_FRAME_RECORDS).enumerate() {
