@@ -483,6 +483,21 @@ pub fn encode_seq_chunk(
     wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
 }
 
+/// Decodes a chunk's record columns into the allocation taken out of
+/// `spare`.
+fn read_records(
+    columns: &[u8],
+    count: u32,
+    spare: &mut Vec<Access>,
+) -> Result<Vec<Access>, WireError> {
+    if count as usize > MAX_FRAME_RECORDS {
+        return Err(WireError::Corrupt("chunk record count out of range"));
+    }
+    let mut records = std::mem::take(spare);
+    decode_records(columns, count as usize, &mut records).map_err(WireError::Corrupt)?;
+    Ok(records)
+}
+
 // --- requests -------------------------------------------------------
 
 impl Request {
@@ -531,30 +546,30 @@ impl Request {
 
     /// Decodes a request from a verified message payload.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
+        Request::decode_reusing(kind, payload, &mut Vec::new())
+    }
+
+    /// [`Request::decode`], but a chunk's records are decoded into the
+    /// allocation taken out of `records`, which is left empty.
+    fn decode_reusing(
+        kind: u8,
+        payload: &[u8],
+        records: &mut Vec<Access>,
+    ) -> Result<Request, WireError> {
         let mut pos = 0usize;
         let req = match kind {
             KIND_OPEN => Request::Open(Box::new(read_open(payload, &mut pos)?)),
             KIND_CHUNK => {
                 let session = read_u32(payload, &mut pos, "truncated chunk header")?;
                 let count = read_u32(payload, &mut pos, "truncated chunk header")?;
-                if count as usize > MAX_FRAME_RECORDS {
-                    return Err(WireError::Corrupt("chunk record count out of range"));
-                }
-                let mut records = Vec::new();
-                decode_records(&payload[pos..], count as usize, &mut records)
-                    .map_err(WireError::Corrupt)?;
+                let records = read_records(&payload[pos..], count, records)?;
                 return Ok(Request::Chunk { session, records });
             }
             KIND_SEQ_CHUNK => {
                 let session = read_u32(payload, &mut pos, "truncated seq chunk header")?;
                 let seq = read_u64(payload, &mut pos, "truncated seq chunk header")?;
                 let count = read_u32(payload, &mut pos, "truncated seq chunk header")?;
-                if count as usize > MAX_FRAME_RECORDS {
-                    return Err(WireError::Corrupt("chunk record count out of range"));
-                }
-                let mut records = Vec::new();
-                decode_records(&payload[pos..], count as usize, &mut records)
-                    .map_err(WireError::Corrupt)?;
+                let records = read_records(&payload[pos..], count, records)?;
                 return Ok(Request::SeqChunk {
                     session,
                     seq,
@@ -604,13 +619,19 @@ impl Request {
 
     /// Reads one request from a transport. `Ok(None)` means the peer
     /// closed the connection cleanly between messages.
+    ///
+    /// A chunk's records are decoded into the allocation taken out of
+    /// `records`, which is left empty; a caller that puts the `Vec` back
+    /// after handling the chunk reads a stream of chunks without
+    /// allocating per chunk.
     pub fn read_from<R: Read>(
         r: &mut R,
         payload: &mut Vec<u8>,
+        records: &mut Vec<Access>,
     ) -> Result<Option<Request>, WireError> {
         match wire::read_message(r, payload)? {
             None => Ok(None),
-            Some(kind) => Request::decode(kind, payload).map(Some),
+            Some(kind) => Request::decode_reusing(kind, payload, records).map(Some),
         }
     }
 }
@@ -1137,6 +1158,34 @@ mod tests {
         let mut borrowed = Vec::new();
         encode_seq_chunk(&mut borrowed, &mut scratch, 5, 42, &records);
         assert_eq!(owned, borrowed);
+    }
+
+    #[test]
+    fn chunks_decode_into_the_callers_allocation() {
+        let records: Vec<Access> = (0..64)
+            .map(|i| Access::read(Pc::new(0x400 + i * 4), Addr::new(i * 64)))
+            .collect();
+        let (mut frame, mut scratch) = (Vec::new(), Vec::new());
+        encode_seq_chunk(&mut frame, &mut scratch, 5, 42, &records);
+        let mut spare = Vec::with_capacity(256);
+        for _ in 0..3 {
+            let buffer = spare.as_ptr();
+            let request = Request::read_from(&mut frame.as_slice(), &mut scratch, &mut spare)
+                .unwrap()
+                .unwrap();
+            let Request::SeqChunk {
+                session: 5,
+                seq: 42,
+                records: got,
+            } = request
+            else {
+                panic!("expected the SeqChunk back, got {request:?}");
+            };
+            assert_eq!(got, records);
+            assert_eq!(got.as_ptr(), buffer, "decoded in place, no new allocation");
+            assert!(spare.is_empty());
+            spare = got;
+        }
     }
 
     #[test]

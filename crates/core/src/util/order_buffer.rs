@@ -27,6 +27,13 @@ impl HasBlock for BlockAddr {
 /// position is readable while it has not been overwritten, i.e. while it is
 /// within `capacity` of the append cursor.
 ///
+/// Index entries whose position has left the window are dead (lookups
+/// filter them out) but would otherwise stay in the index for good, so
+/// it would grow with every distinct block ever appended. When the index
+/// reaches twice the ring capacity, append drops every dead entry; that
+/// leaves at most `capacity` live ones, so the amortized cost is O(1)
+/// per append and no lookup result changes.
+///
 /// The position→slot mapping (`pos % capacity`) is computed without
 /// division: the write cursor (`appended % capacity`) is maintained
 /// incrementally by the append path, and a read derives its slot from
@@ -93,6 +100,10 @@ impl<T: HasBlock + Clone> OrderBuffer<T> {
         self.cursor += 1;
         if self.cursor == self.capacity {
             self.cursor = 0;
+        }
+        if self.index.len() >= self.capacity.saturating_mul(2) {
+            let (appended, capacity) = (self.appended, self.capacity as u64);
+            self.index.retain(|_, pos| appended - *pos <= capacity);
         }
         pos
     }
@@ -213,6 +224,42 @@ mod tests {
         // Window holds positions 6..=9.
         assert!(buf.read_from(2, 3).is_empty());
         assert_eq!(buf.read_from(6, 2), vec![b(6), b(7)]);
+    }
+
+    #[test]
+    fn index_stays_bounded_and_lookups_match_an_unpruned_index() {
+        let capacity = 64;
+        let mut buf: OrderBuffer<BlockAddr> = OrderBuffer::new(capacity);
+        // Every block ever appended and its latest position, never pruned.
+        let mut reference: std::collections::HashMap<u64, u64> = Default::default();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..10 * capacity as u64 {
+            // Mostly fresh blocks, with repeats of recent and long-gone ones.
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let block = match rng >> 61 {
+                0 => i.saturating_sub(rng >> 58 & 7),
+                1 => (rng >> 32) % (i + 1),
+                _ => i,
+            };
+            let pos = buf.append(b(block));
+            reference.insert(block, pos);
+            assert!(buf.index.len() <= 2 * capacity, "after {} appends", i + 1);
+            for (&block, &latest) in &reference {
+                let live = buf.appended() - latest <= capacity as u64;
+                assert_eq!(
+                    buf.lookup(b(block)),
+                    live.then_some(latest),
+                    "block {block}"
+                );
+            }
+        }
+        assert!(buf.index.len() <= 2 * capacity);
+        assert!(
+            reference.len() > 2 * capacity,
+            "the test must outgrow the bound"
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@ use stems_obs::MetricsRegistry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut settings = Settings::from_args(args.iter().cloned());
+    let mut settings = Settings::from_args(args.iter().cloned()).unwrap_or_else(|e| {
+        eprintln!("bench_harness: {e}");
+        std::process::exit(2)
+    });
     // Full-size traces take minutes per cell; default the bench to a
     // scale that exercises every path in seconds.
     if !args.iter().any(|a| a == "--scale") {

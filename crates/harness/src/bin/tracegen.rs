@@ -66,6 +66,15 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Parses the shared `--scale`/`--seed`/`--threads`/`--trace-dir`
+/// flags; a missing or malformed value is reported with exit code 2.
+fn parse_settings(args: &[String]) -> Result<Settings, ExitCode> {
+    Settings::from_args(args.iter().cloned()).map_err(|e| {
+        eprintln!("tracegen: {e}");
+        ExitCode::from(2)
+    })
+}
+
 fn counters_row(label: &str, c: &Counters) {
     println!(
         "{label:<10} accesses {:>9} reads {:>9} covered {:>8} uncovered {:>8} overpred {:>8} fetches {:>8}",
@@ -82,7 +91,10 @@ fn capture(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let settings = Settings::from_args(args[2..].iter().cloned());
+    let settings = match parse_settings(&args[2..]) {
+        Ok(settings) => settings,
+        Err(code) => return code,
+    };
     let sync = if args.iter().any(|a| a == "--sync-every-frame") {
         SyncPolicy::EveryFrame
     } else {
@@ -109,7 +121,10 @@ fn capture_all(args: &[String]) -> ExitCode {
         eprintln!("cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    let settings = Settings::from_args(args[1..].iter().cloned());
+    let settings = match parse_settings(&args[1..]) {
+        Ok(settings) => settings,
+        Err(code) => return code,
+    };
     let workloads = Workload::all();
     let results = parallel_map(&workloads, settings.effective_threads(), |w| {
         let path = dir.join(trace_file_name(*w));
@@ -212,7 +227,10 @@ fn replay(args: &[String]) -> ExitCode {
         },
         None => Predictor::Stems,
     };
-    let settings = Settings::from_args(args[1..].iter().cloned());
+    let settings = match parse_settings(&args[1..]) {
+        Ok(settings) => settings,
+        Err(code) => return code,
+    };
     let sys = system_config(settings.scale);
     if let Some(addr) = arg_after("--remote") {
         let window: usize = arg_after("--window")
@@ -375,7 +393,10 @@ fn verify(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let path = &args[1];
-    let settings = Settings::from_args(args[2..].iter().cloned());
+    let settings = match parse_settings(&args[2..]) {
+        Ok(settings) => settings,
+        Err(code) => return code,
+    };
     if args[2..].iter().any(|a| a == "--repair") {
         match stems_trace::store::TraceReader::recover_tail(path) {
             Ok(report) if report.was_damaged => {

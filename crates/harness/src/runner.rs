@@ -47,42 +47,46 @@ impl Default for Settings {
 
 impl Settings {
     /// Parses `--scale <f>`, `--seed <n>`, `--threads <n>`, and
-    /// `--trace-dir <dir>` from an argument list; unknown arguments are
-    /// ignored.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// `--trace-dir <dir>` from an argument list. A flag whose value is
+    /// missing or malformed is an error naming it (`--scale` must be a
+    /// positive finite number); other arguments are ignored, because the
+    /// binaries layer their own flags on top.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+            let v = v
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+        }
         let mut s = Settings::default();
-        let args: Vec<String> = args.into_iter().collect();
-        for i in 0..args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
                 "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        s.scale = v;
+                    s.scale = value(&flag, args.next())?;
+                    if !(s.scale.is_finite() && s.scale > 0.0) {
+                        return Err(format!("--scale must be positive, got {}", s.scale));
                     }
                 }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        s.seed = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        s.threads = v;
-                    }
-                }
+                "--seed" => s.seed = value(&flag, args.next())?,
+                "--threads" => s.threads = value(&flag, args.next())?,
                 "--trace-dir" => {
-                    if let Some(v) = args.get(i + 1) {
-                        s.trace_dir = Some(std::sync::Arc::from(v.as_str()));
-                    }
+                    let dir: String = value(&flag, args.next())?;
+                    s.trace_dir = Some(std::sync::Arc::from(dir));
                 }
                 _ => {}
             }
         }
-        s
+        Ok(s)
     }
 
-    /// Parses from the process arguments.
+    /// Parses from the process arguments; a missing or malformed value
+    /// is reported on stderr and exits the process with status 2.
     pub fn from_env() -> Self {
-        Settings::from_args(std::env::args().skip(1))
+        Settings::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// The worker count to actually use: `threads`, or every available
@@ -336,18 +340,64 @@ mod tests {
 
     #[test]
     fn settings_parse() {
-        let s = Settings::from_args(
-            ["--scale", "0.25", "--seed", "7", "--threads", "3", "--junk"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(s.scale, 0.25);
-        assert_eq!(s.seed, 7);
-        assert_eq!(s.threads, 3);
-        assert_eq!(s.effective_threads(), 3);
-        let d = Settings::from_args(std::iter::empty());
-        assert_eq!(d, Settings::default());
-        assert!(d.effective_threads() >= 1);
+        let parse = |args: &[&str]| Settings::from_args(args.iter().map(|s| s.to_string()));
+        let accepted: [(&[&str], Settings); 5] = [
+            (&[], Settings::default()),
+            (
+                &["--scale", "0.25", "--seed", "7", "--threads", "3", "--junk"],
+                Settings {
+                    scale: 0.25,
+                    seed: 7,
+                    threads: 3,
+                    trace_dir: None,
+                },
+            ),
+            (
+                &["--trace-dir", "/tmp/corpus", "--threads", "0"],
+                Settings {
+                    trace_dir: Some("/tmp/corpus".into()),
+                    ..Settings::default()
+                },
+            ),
+            // Unknown flags and their values are skipped, wherever they sit.
+            (
+                &["--window", "8", "--seed", "1", "positional", "--retry"],
+                Settings {
+                    seed: 1,
+                    ..Settings::default()
+                },
+            ),
+            (
+                &["--scale", "1e-3"],
+                Settings {
+                    scale: 0.001,
+                    ..Settings::default()
+                },
+            ),
+        ];
+        for (args, want) in accepted {
+            assert_eq!(parse(args), Ok(want), "{args:?}");
+        }
+        let rejected: [&[&str]; 12] = [
+            &["--scale", "banana"],
+            &["--scale"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "nan"],
+            &["--scale", "inf"],
+            &["--seed", "-3"],
+            &["--seed", "7.5"],
+            &["--threads", "two"],
+            &["--threads", "--seed", "7"],
+            &["--trace-dir"],
+            &["--seed", "1", "--trace-dir", "--scale", "0.1"],
+        ];
+        for args in rejected {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.starts_with("--"), "error names the flag: {err}");
+        }
+        assert_eq!(parse(&["--threads", "3"]).unwrap().effective_threads(), 3);
+        assert!(Settings::default().effective_threads() >= 1);
     }
 
     #[test]

@@ -581,6 +581,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 
     let mut payload = Vec::new();
+    // Every chunk on this connection decodes into this one allocation:
+    // the request takes it, and it comes back once the chunk has run.
+    let mut records = Vec::new();
     let mut frame = Vec::new();
     let mut scratch = Vec::new();
     let send = |writer: &mut BufWriter<TcpStream>,
@@ -594,7 +597,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     };
 
     loop {
-        let request = match Request::read_from(&mut reader, &mut payload) {
+        let request = match Request::read_from(&mut reader, &mut payload, &mut records) {
             Ok(Some(req)) => req,
             Ok(None) => return,              // peer closed cleanly
             Err(WireError::Io(_)) => return, // dead/stalled peer or timeout
@@ -614,12 +617,23 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         };
         let reply = match request {
             Request::Open(open) => handle_open(shared, &open),
-            Request::Chunk { session, records } => handle_chunk(shared, session, None, &records),
+            Request::Chunk {
+                session,
+                records: chunk,
+            } => {
+                let reply = handle_chunk(shared, session, None, &chunk);
+                records = chunk;
+                reply
+            }
             Request::SeqChunk {
                 session,
                 seq,
-                records,
-            } => handle_chunk(shared, session, Some(seq), &records),
+                records: chunk,
+            } => {
+                let reply = handle_chunk(shared, session, Some(seq), &chunk);
+                records = chunk;
+                reply
+            }
             Request::Resume { session, last_seq } => handle_resume(shared, session, last_seq),
             Request::Close { session } => handle_close(shared, session),
             Request::Metrics { drain_events } => {

@@ -673,71 +673,123 @@ pub fn encode_records(records: &[Access], out: &mut Vec<u8>) {
 ///
 /// The payload must have been produced by [`encode_records`]; callers
 /// are expected to have already verified an enclosing checksum.
+///
+/// One pass writes each record once: the pc and address columns' ends
+/// are found first by counting varint terminators eight bytes at a time,
+/// then the four column cursors advance together. A damaged payload gets
+/// the reason a column-by-column decode would give: any bad pc or
+/// address varint outranks a flags-column error, which outranks a
+/// work-column error, which outranks trailing bytes.
 pub fn decode_records(
     payload: &[u8],
     count: usize,
     out: &mut Vec<Access>,
 ) -> Result<(), &'static str> {
+    const RUNS_PAST: &str = "varint runs past the frame payload";
     out.clear();
-    out.reserve(count);
-    let mut pos = 0usize;
-    let next_delta = |payload: &[u8], pos: &mut usize| -> Result<i64, &'static str> {
-        let (v, n) =
-            varint::read_i64(&payload[*pos..]).ok_or("varint runs past the frame payload")?;
-        *pos += n;
-        Ok(v)
+    let pc_end = skip_varints(payload, count).ok_or(RUNS_PAST)?;
+    let addr_end = pc_end + skip_varints(&payload[pc_end..], count).ok_or(RUNS_PAST)?;
+    let flag_bytes = count.div_ceil(4);
+    let work_start = addr_end + flag_bytes;
+    let flags_error = if payload.len() < work_start {
+        Some("flags column runs past the frame payload")
+    } else if !count.is_multiple_of(4) && payload[work_start - 1] >> (2 * (count % 4)) != 0 {
+        // Canonical encoding: padding bits in the final flags byte are zero.
+        Some("nonzero padding bits in the flags column")
+    } else {
+        None
     };
-    let mut prev = 0i64;
-    for _ in 0..count {
-        prev = prev.wrapping_add(next_delta(payload, &mut pos)?);
-        out.push(Access {
-            pc: Pc::new(prev as u64),
-            addr: Addr::new(0),
-            kind: AccessKind::Read,
-            dep: Dependence::Independent,
-            work_before: 0,
+    if let Some(reason) = flags_error {
+        return Err(if varints_valid(payload, 2 * count) {
+            reason
+        } else {
+            RUNS_PAST
         });
     }
-    let mut prev = 0i64;
-    for a in out.iter_mut() {
-        prev = prev.wrapping_add(next_delta(payload, &mut pos)?);
-        a.addr = Addr::new(prev as u64);
-    }
-    let flag_bytes = count.div_ceil(4);
-    if payload.len() < pos + flag_bytes {
-        return Err("flags column runs past the frame payload");
-    }
-    for (i, a) in out.iter_mut().enumerate() {
-        let bits = payload[pos + i / 4] >> (2 * (i % 4));
-        a.kind = if bits & 0b01 != 0 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
+    out.reserve(count);
+    let flags = &payload[addr_end..work_start];
+    let (mut pc_pos, mut addr_pos, mut work_pos) = (0, pc_end, work_start);
+    let (mut pc, mut addr) = (0i64, 0i64);
+    for i in 0..count {
+        let (dpc, n) = varint::read_i64(&payload[pc_pos..]).ok_or(RUNS_PAST)?;
+        pc_pos += n;
+        let (daddr, n) = varint::read_i64(&payload[addr_pos..]).ok_or(RUNS_PAST)?;
+        addr_pos += n;
+        let (work, n) = varint::read_u64(&payload[work_pos..]).ok_or(RUNS_PAST)?;
+        work_pos += n;
+        let Ok(work_before) = u16::try_from(work) else {
+            let rest = count - 1 - i;
+            let columns_valid = varints_valid(&payload[pc_pos..], rest)
+                && varints_valid(&payload[addr_pos..], rest);
+            return Err(if columns_valid {
+                "work value exceeds u16"
+            } else {
+                RUNS_PAST
+            });
         };
-        a.dep = if bits & 0b10 != 0 {
-            Dependence::OnPrevAccess
-        } else {
-            Dependence::Independent
-        };
+        pc = pc.wrapping_add(dpc);
+        addr = addr.wrapping_add(daddr);
+        let bits = flags[i / 4] >> (2 * (i % 4));
+        out.push(Access {
+            pc: Pc::new(pc as u64),
+            addr: Addr::new(addr as u64),
+            kind: if bits & 0b01 != 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            dep: if bits & 0b10 != 0 {
+                Dependence::OnPrevAccess
+            } else {
+                Dependence::Independent
+            },
+            work_before,
+        });
     }
-    // Canonical encoding: padding bits in the final flags byte are zero.
-    if !count.is_multiple_of(4) && payload[pos + flag_bytes - 1] >> (2 * (count % 4)) != 0 {
-        return Err("nonzero padding bits in the flags column");
-    }
-    pos += flag_bytes;
-    for a in out.iter_mut() {
-        let (work, n) =
-            varint::read_u64(&payload[pos..]).ok_or("varint runs past the frame payload")?;
-        pos += n;
-        if work > u16::MAX as u64 {
-            return Err("work value exceeds u16");
-        }
-        a.work_before = work as u16;
-    }
-    if pos != payload.len() {
+    if work_pos != payload.len() {
         return Err("trailing bytes after the last column");
     }
     Ok(())
+}
+
+/// Offset just past the `n`th varint terminator (a byte with its high
+/// bit clear) in `bytes`, or `None` when there are fewer than `n`. When
+/// the first `n` varints are well-formed this is where they end.
+fn skip_varints(bytes: &[u8], mut n: usize) -> Option<usize> {
+    if n == 0 {
+        return Some(0);
+    }
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (w, word) in words.iter().enumerate() {
+        let mut stops = !u64::from_le_bytes(*word) & 0x8080_8080_8080_8080;
+        let found = stops.count_ones() as usize;
+        if found < n {
+            n -= found;
+            continue;
+        }
+        for _ in 1..n {
+            stops &= stops - 1;
+        }
+        return Some(8 * w + stops.trailing_zeros() as usize / 8 + 1);
+    }
+    let base = 8 * words.len();
+    tail.iter()
+        .enumerate()
+        .filter(|(_, &b)| b & 0x80 == 0)
+        .nth(n - 1)
+        .map(|(i, _)| base + i + 1)
+}
+
+/// Whether `n` well-formed varints can be read back to back from the
+/// front of `bytes`.
+fn varints_valid(mut bytes: &[u8], n: usize) -> bool {
+    for _ in 0..n {
+        match varint::read_u64(bytes) {
+            Some((_, len)) => bytes = &bytes[len..],
+            None => return false,
+        }
+    }
+    true
 }
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), the checksum named in

@@ -1,9 +1,10 @@
 //! LEB128 variable-length integers and zigzag signed mapping.
 //!
 //! The persistent trace store (`stems-trace::store`) encodes per-chunk
-//! columns as delta streams of varints; a future wire protocol for the
-//! trace-streaming service will reuse the same primitives, so they live
-//! here in the leaf crate rather than inside the store.
+//! columns as delta streams of varints, and the wire protocol of the
+//! trace-streaming service (`stems_core::protocol`) uses the same
+//! primitives for its message fields, so they live here in the leaf
+//! crate rather than inside the store.
 //!
 //! Encoding is unsigned LEB128: seven payload bits per byte, low bits
 //! first, high bit of each byte set while more bytes follow. A `u64`
@@ -52,7 +53,29 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) {
 /// encoding runs past [`MAX_VARINT_BYTES`], or when the final byte
 /// carries bits beyond the 64th — all three are data corruption for a
 /// stream that was written by [`write_u64`].
+///
+/// With at least eight bytes available, an encoding of 1–8 bytes is
+/// decoded from one little-endian 8-byte load: the first byte with its
+/// high bit clear ends it, and three shift-and-mask steps pack its 7-bit
+/// groups. Longer encodings and buffer tails take the byte loop.
+#[inline]
 pub fn read_u64(bytes: &[u8]) -> Option<(u64, usize)> {
+    if let Some(word) = bytes.first_chunk::<8>() {
+        let word = u64::from_le_bytes(*word);
+        let stops = !word & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            // Bits up to and including the first stop bit: the varint's bytes.
+            let mut x = word & (stops ^ (stops - 1)) & 0x7F7F_7F7F_7F7F_7F7F;
+            x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
+            x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+            x = (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
+            return Some((x, stops.trailing_zeros() as usize / 8 + 1));
+        }
+    }
+    read_u64_bytewise(bytes)
+}
+
+fn read_u64_bytewise(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut value: u64 = 0;
     for (i, &byte) in bytes.iter().enumerate().take(MAX_VARINT_BYTES) {
         let payload = (byte & 0x7F) as u64;
@@ -70,6 +93,7 @@ pub fn read_u64(bytes: &[u8]) -> Option<(u64, usize)> {
 
 /// Decodes one zigzag-LEB128 `i64` from the front of `bytes` (see
 /// [`read_u64`] for the error conditions).
+#[inline]
 pub fn read_i64(bytes: &[u8]) -> Option<(i64, usize)> {
     let (raw, n) = read_u64(bytes)?;
     Some((unzigzag(raw), n))
