@@ -69,7 +69,9 @@ impl Counters {
 /// it, exactly as a remote write would.
 #[derive(Clone, Debug)]
 pub struct InvalidationInjector {
-    rate: f64,
+    /// `ceil(rate · 2^53)`: the per-access trial fires when the draw's top
+    /// 53 bits fall below it (see `fires`).
+    threshold: u64,
     rng: XorShift64,
     recent: Vec<BlockAddr>,
     cursor: usize,
@@ -82,12 +84,24 @@ const RECENT_CAPACITY: usize = 1024;
 impl InvalidationInjector {
     /// Creates an injector firing with probability `rate` per access.
     pub fn new(rate: f64, seed: u64) -> Self {
+        // Scaling by a power of two is exact, so the ceiling is exact and
+        // converts losslessly (a NaN rate saturates to 0: never fires,
+        // like `XorShift64::chance`).
+        let threshold = (rate.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64;
         InvalidationInjector {
-            rate,
+            threshold,
             rng: XorShift64::new(seed),
             recent: Vec::with_capacity(RECENT_CAPACITY),
             cursor: 0,
         }
+    }
+
+    /// One Bernoulli trial at the injector's rate, consuming the RNG and
+    /// deciding exactly as `XorShift64::chance(rate)` does without the
+    /// float conversion: for an integer `x < 2^53`,
+    /// `x · 2^-53 < p` ⟺ `x < ⌈p · 2^53⌉`.
+    fn fires(&mut self) -> bool {
+        (self.rng.next_u64() >> 11) < self.threshold
     }
 
     fn observe(&mut self, block: BlockAddr) {
@@ -100,7 +114,7 @@ impl InvalidationInjector {
     }
 
     fn pick(&mut self) -> Option<BlockAddr> {
-        if self.recent.is_empty() || !self.rng.chance(self.rate) {
+        if self.recent.is_empty() || !self.fires() {
             return None;
         }
         let i = self.rng.below(self.recent.len() as u64) as usize;
@@ -160,11 +174,16 @@ pub struct CoverageSim<P> {
 /// Buffers reused across [`CoverageSim::step`] calls so the per-access
 /// path performs no heap allocation in steady state: each step drains
 /// them but keeps their capacity.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StepScratch {
     l1_evicted: Vec<BlockAddr>,
     svb_evictions: Vec<(BlockAddr, StreamTag)>,
     l1_evictions: Vec<BlockAddr>,
+    /// The latest access's outcome, cleared and refilled in place by
+    /// `step_core`: the batched path lends visitors a reference to it and
+    /// only the scalar `step` clones it, so no per-access outcome is
+    /// built or copied.
+    outcome: StepOutcome,
 }
 
 struct EngineSink<'a> {
@@ -174,7 +193,7 @@ struct EngineSink<'a> {
     counters: &'a mut Counters,
     svb_evictions: &'a mut Vec<(BlockAddr, StreamTag)>,
     l1_evictions: &'a mut Vec<BlockAddr>,
-    fetched: FetchList,
+    fetched: &'a mut FetchList,
 }
 
 impl PrefetchSink for EngineSink<'_> {
@@ -245,7 +264,16 @@ impl<P: Prefetcher> CoverageSim<P> {
             prefetcher,
             observes_l1_hits,
             injector: None,
-            scratch: StepScratch::default(),
+            scratch: StepScratch {
+                l1_evicted: Vec::new(),
+                svb_evictions: Vec::new(),
+                l1_evictions: Vec::new(),
+                outcome: StepOutcome {
+                    satisfied: Satisfied::L1,
+                    prefetched_hit: false,
+                    fetched: FetchList::new(),
+                },
+            },
         }
     }
 
@@ -289,7 +317,8 @@ impl<P: Prefetcher> CoverageSim<P> {
             inj.observe(block);
         }
         let l1_base = self.hierarchy.l1_set_base(block);
-        self.step_core(access, block, l1_base, self.observes_l1_hits)
+        self.step_core(access, block, l1_base, self.observes_l1_hits);
+        self.scratch.outcome.clone()
     }
 
     /// Processes `chunk` in one call, hoisting the per-access overheads
@@ -313,7 +342,9 @@ impl<P: Prefetcher> CoverageSim<P> {
 
     /// [`CoverageSim::run_chunk`] with a per-access observer: `visit` is
     /// called with each access and its [`StepOutcome`] in trace order.
-    /// This is how the timing model consumes a batched run.
+    /// This is how the timing model consumes a batched run. The outcome
+    /// is borrowed from the simulator's one per-access record, which the
+    /// next access overwrites: clone it to keep it.
     pub fn run_chunk_with(
         &mut self,
         chunk: &[Access],
@@ -331,16 +362,16 @@ impl<P: Prefetcher> CoverageSim<P> {
                     inj.observe(block);
                 }
                 let l1_base = self.hierarchy.l1_set_base(block);
-                let out = self.step_core(access, block, l1_base, observes_l1_hits);
-                visit(access, &out);
+                self.step_core(access, block, l1_base, observes_l1_hits);
+                visit(access, &self.scratch.outcome);
             }
         } else {
             for access in chunk {
                 reads += access.is_read() as u64;
                 let block = access.addr.block();
                 let l1_base = self.hierarchy.l1_set_base(block);
-                let out = self.step_core(access, block, l1_base, observes_l1_hits);
-                visit(access, &out);
+                self.step_core(access, block, l1_base, observes_l1_hits);
+                visit(access, &self.scratch.outcome);
             }
         }
         self.counters.reads += reads;
@@ -348,20 +379,22 @@ impl<P: Prefetcher> CoverageSim<P> {
 
     /// The per-access core shared by [`CoverageSim::step`] and the
     /// chunked paths: cache/SVB resolution, counter classification, event
-    /// delivery, and eviction hooks. Counter bookkeeping for
-    /// `accesses`/`reads`, invalidation injection, and the
-    /// block/L1-set-base decode (`l1_base` must equal
-    /// `hierarchy.l1_set_base(block)`) happen in the callers.
+    /// delivery, and eviction hooks, writing the access's outcome into
+    /// `scratch.outcome`. Counter bookkeeping for `accesses`/`reads`,
+    /// invalidation injection, and the block/L1-set-base decode
+    /// (`l1_base` must equal `hierarchy.l1_set_base(block)`) happen in
+    /// the callers.
     fn step_core(
         &mut self,
         access: &Access,
         block: BlockAddr,
         l1_base: usize,
         observes_l1_hits: bool,
-    ) -> StepOutcome {
+    ) {
         let is_write = !access.is_read();
 
         self.scratch.l1_evicted.clear();
+        self.scratch.outcome.fetched.clear();
         let mut prefetched_hit = false;
         // Single-pass probe: the pre-decoded L1 set base resolves the
         // whole SVB/L1/L2 pipeline, with the SVB consulted (exactly once)
@@ -428,20 +461,21 @@ impl<P: Prefetcher> CoverageSim<P> {
             }
         };
 
+        self.scratch.outcome.satisfied = satisfied;
+        self.scratch.outcome.prefetched_hit = prefetched_hit;
+
         // An L1 hit evicts nothing and — for predictors that train only
         // on miss traffic — needs no event delivery at all: the fast path
         // ends here.
         if satisfied == Satisfied::L1 && !observes_l1_hits {
-            return StepOutcome {
-                satisfied,
-                prefetched_hit,
-                fetched: FetchList::new(),
-            };
+            return;
         }
 
         for i in 0..self.scratch.l1_evicted.len() {
             let b = self.scratch.l1_evicted[i];
-            if self.l1_prefetched_unused.remove(&b) {
+            // Empty unless an SMS-style predictor has `fetch_l1`
+            // prefetches outstanding, as on the L1-hit path above.
+            if !self.l1_prefetched_unused.is_empty() && self.l1_prefetched_unused.remove(&b) {
                 self.counters.overpredictions += 1;
             }
             self.prefetcher.on_l1_evict(b, EvictKind::Replacement);
@@ -460,10 +494,9 @@ impl<P: Prefetcher> CoverageSim<P> {
             counters: &mut self.counters,
             svb_evictions: &mut self.scratch.svb_evictions,
             l1_evictions: &mut self.scratch.l1_evictions,
-            fetched: FetchList::new(),
+            fetched: &mut self.scratch.outcome.fetched,
         };
         self.prefetcher.on_access(&ev, &mut sink);
-        let fetched = sink.fetched;
         for i in 0..self.scratch.svb_evictions.len() {
             let (b, t) = self.scratch.svb_evictions[i];
             self.prefetcher.on_svb_evict(b, t);
@@ -474,11 +507,6 @@ impl<P: Prefetcher> CoverageSim<P> {
             self.prefetcher.on_l1_evict(b, EvictKind::Replacement);
         }
         self.scratch.l1_evictions.clear();
-        StepOutcome {
-            satisfied,
-            prefetched_hit,
-            fetched,
-        }
     }
 
     fn maybe_invalidate(&mut self) {
@@ -786,6 +814,100 @@ mod tests {
         for ((name, got), (ename, e)) in golden.iter().zip(expected.iter()) {
             assert_eq!(name, ename);
             assert_eq!(got, e, "{name}: counters drifted from golden values");
+        }
+    }
+
+    /// The outcome stream agrees with the counters for every predictor on
+    /// both golden traces and geometries, with and without invalidations:
+    /// the fetches reported across `run_chunk_with` sum to the final
+    /// `fetches` counter, and an L1 hit under a predictor that ignores L1
+    /// hits reports none. An outcome record left stale from an earlier
+    /// access breaks both — which the scalar-versus-batched comparisons
+    /// cannot see, since both sides read the same record.
+    #[test]
+    fn outcome_stream_accounts_for_every_fetch() {
+        use crate::session::Predictor;
+        use stems_memsim::CacheConfig;
+
+        // The geometry of `golden_counters_under_pressure_are_stable`.
+        let pressure_sys = SystemConfig {
+            l1: CacheConfig {
+                size_bytes: 1024,
+                associativity: 2,
+            },
+            l2: CacheConfig {
+                size_bytes: 16 * 1024,
+                associativity: 4,
+            },
+            ..SystemConfig::default()
+        };
+        let runs = [
+            (sys(), golden_trace(), (0.01, 42)),
+            (pressure_sys, pressure_trace(), (0.02, 7)),
+        ];
+        let cfg = cfg();
+        for (sys, trace, (rate, seed)) in &runs {
+            for p in Predictor::all() {
+                for invalidations in [false, true] {
+                    let mut sim = CoverageSim::new(sys, &cfg, p.build(&cfg));
+                    if invalidations {
+                        sim = sim.with_invalidations(*rate, *seed);
+                    }
+                    let silent_l1 = !sim.prefetcher().observes_l1_hits();
+                    let mut reported = 0u64;
+                    for chunk in trace.as_slice().chunks(64) {
+                        sim.run_chunk_with(chunk, |_, out| {
+                            reported += out.fetched.len() as u64;
+                            assert!(
+                                !(silent_l1 && out.satisfied == Satisfied::L1)
+                                    || out.fetched.is_empty(),
+                                "{p}: an unobserved L1 hit reported fetches"
+                            );
+                        });
+                    }
+                    let c = sim.finalize();
+                    assert_eq!(
+                        reported, c.fetches,
+                        "{p} (invalidations {invalidations}): reported fetches"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The injector's integer threshold makes exactly the decisions
+    /// `XorShift64::chance` makes from the same draws: over whole draw
+    /// streams at the edge rates, every workload's rate and `k/2^53`
+    /// with its float neighbours, and at the exact boundary, where the
+    /// rate is the next draw's own `x/2^53` (or a neighbour of it).
+    #[test]
+    fn integer_invalidation_draw_matches_float_chance() {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        let mut rates = vec![0.0, 1.0];
+        rates.extend(stems_workloads::Workload::all().map(|w| w.invalidation_rate()));
+        for k in [1u64, 3, 1 << 20, (1 << 52) + 1, (1 << 53) - 1] {
+            let p = k as f64 / SCALE;
+            rates.extend([p.next_down(), p, p.next_up()]);
+        }
+        for (i, &p) in rates.iter().enumerate() {
+            let seed = i as u64 + 1;
+            let mut inj = InvalidationInjector::new(p, seed);
+            let mut rng = XorShift64::new(seed);
+            for _ in 0..100_000 {
+                assert_eq!(inj.fires(), rng.chance(p), "rate {p:e}");
+            }
+        }
+
+        let mut rng = XorShift64::new(0x5EED);
+        for _ in 0..100_000 {
+            let x = rng.clone().next_u64() >> 11;
+            let p = x as f64 / SCALE;
+            for q in [p.next_down(), p, p.next_up()] {
+                let mut inj = InvalidationInjector::new(q, 0);
+                inj.rng = rng.clone();
+                assert_eq!(inj.fires(), rng.clone().chance(q), "draw {x}, rate {q:e}");
+            }
+            rng.next_u64();
         }
     }
 

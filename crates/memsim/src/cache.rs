@@ -176,27 +176,72 @@ impl Cache {
     }
 
     /// Promotes way `base + w` to MRU by bumping every younger way's
-    /// rank. Free ways (rank [`FREE_WAY`]) are never younger.
+    /// rank. Free ways (rank [`FREE_WAY`]) are never younger. Dispatched
+    /// by associativity like [`Cache::find`]: 2/4/8/16 take the
+    /// fixed-width [`Cache::touch_fixed`], other widths the generic loop.
+    #[inline]
     fn touch(&mut self, base: usize, w: usize) {
-        let age = self.ages[base + w];
-        if age == 0 {
-            return;
-        }
-        for a in &mut self.ages[base..base + self.associativity] {
-            if *a < age {
-                *a += 1;
+        match self.associativity {
+            2 => Self::touch_fixed::<2>(&mut self.ages[base..base + 2], w),
+            4 => Self::touch_fixed::<4>(&mut self.ages[base..base + 4], w),
+            8 => Self::touch_fixed::<8>(&mut self.ages[base..base + 8], w),
+            16 => Self::touch_fixed::<16>(&mut self.ages[base..base + 16], w),
+            assoc => {
+                let age = self.ages[base + w];
+                if age == 0 {
+                    return;
+                }
+                for a in &mut self.ages[base..base + assoc] {
+                    if *a < age {
+                        *a += 1;
+                    }
+                }
+                self.ages[base + w] = 0;
             }
         }
-        self.ages[base + w] = 0;
+    }
+
+    /// Branch-free MRU promotion over a compile-time-width rank window:
+    /// every rank younger than way `w`'s gains one, then `w` becomes 0.
+    /// No early exit for an MRU hit: the bump is then a no-op, so the
+    /// window stays one straight-line pass with no data-dependent branch.
+    #[inline]
+    fn touch_fixed<const N: usize>(ages: &mut [u16], w: usize) {
+        let ages: &mut [u16; N] = ages.try_into().expect("window narrower than declared");
+        let age = ages[w];
+        for a in ages.iter_mut() {
+            *a += (*a < age) as u16;
+        }
+        ages[w] = 0;
     }
 
     /// Installs `block` in the first free way of the set at `base`, or in
     /// the LRU way when the set is full (reporting the victim). New lines
     /// enter at MRU.
+    #[inline]
     fn install_at(&mut self, base: usize, block: BlockAddr, is_dirty: bool) -> Option<Evicted> {
-        let assoc = self.associativity;
-        let ages = &self.ages[base..base + assoc];
-        let lru_rank = (assoc - 1) as u16;
+        let (w, full) = match self.associativity {
+            2 => Self::rank_install_fixed::<2>(&mut self.ages[base..base + 2]),
+            4 => Self::rank_install_fixed::<4>(&mut self.ages[base..base + 4]),
+            8 => Self::rank_install_fixed::<8>(&mut self.ages[base..base + 8]),
+            16 => Self::rank_install_fixed::<16>(&mut self.ages[base..base + 16]),
+            assoc => Self::rank_install(&mut self.ages[base..base + assoc]),
+        };
+        let evicted = full.then(|| Evicted {
+            block: self.blocks[base + w],
+            dirty: self.dirty[base + w],
+        });
+        self.blocks[base + w] = block;
+        self.dirty[base + w] = is_dirty;
+        evicted
+    }
+
+    /// The rank half of [`Cache::install_at`] for any width: picks the
+    /// first free way, else the LRU way, bumps every resident rank and
+    /// writes the chosen way at rank 0, keeping ranks a permutation of
+    /// `0..occupancy`. Returns the way and whether it held a victim.
+    fn rank_install(ages: &mut [u16]) -> (usize, bool) {
+        let lru_rank = (ages.len() - 1) as u16;
         let mut way = None; // first free way, else the LRU way
         for (w, &a) in ages.iter().enumerate() {
             if a == FREE_WAY {
@@ -209,21 +254,37 @@ impl Cache {
             }
         }
         let (w, full) = way.expect("a set always has a free or an LRU way");
-        let evicted = full.then(|| Evicted {
-            block: self.blocks[base + w],
-            dirty: self.dirty[base + w],
-        });
-        // Bump every resident rank; the chosen way is then written at
-        // rank 0, keeping ranks a permutation of 0..occupancy.
-        for a in &mut self.ages[base..base + assoc] {
+        for a in ages.iter_mut() {
             if *a != FREE_WAY {
                 *a += 1;
             }
         }
-        self.blocks[base + w] = block;
-        self.ages[base + w] = 0;
-        self.dirty[base + w] = is_dirty;
-        evicted
+        ages[w] = 0;
+        (w, full)
+    }
+
+    /// [`Cache::rank_install`] over a compile-time-width window: the
+    /// free ways and the rank-`N−1` way are found as two bit masks in one
+    /// unrolled pass (the lowest free bit wins, matching the generic
+    /// first-free scan; a full set has exactly one LRU bit), and the
+    /// resident ranks are bumped branch-free.
+    #[inline]
+    fn rank_install_fixed<const N: usize>(ages: &mut [u16]) -> (usize, bool) {
+        let ages: &mut [u16; N] = ages.try_into().expect("window narrower than declared");
+        let lru_rank = (N - 1) as u16;
+        let (mut free, mut lru) = (0u32, 0u32);
+        for (w, &a) in ages.iter().enumerate() {
+            free |= ((a == FREE_WAY) as u32) << w;
+            lru |= ((a == lru_rank) as u32) << w;
+        }
+        let full = free == 0;
+        let mask = if full { lru } else { free };
+        let w = mask.trailing_zeros() as usize;
+        for a in ages.iter_mut() {
+            *a += (*a != FREE_WAY) as u16;
+        }
+        ages[w] = 0;
+        (w, full)
     }
 
     /// Performs a demand access, allocating on miss.
