@@ -2,22 +2,26 @@
 //!
 //! A [`Client`] is one TCP connection speaking the protocol in
 //! `docs/WIRE_PROTOCOL.md`: open sessions (each with its own tenant
-//! configuration), stream trace chunks into them, read back per-chunk
-//! counter snapshots, and collect end-of-stream summaries. The
-//! streaming path ([`Client::stream`]) pipelines a bounded window of
-//! chunks before reading each snapshot back, so the link stays full
-//! without unbounded in-flight work on either side.
+//! configuration), feed sequenced trace chunks into them one at a time
+//! ([`Client::write_seq_chunk`] + [`Client::read_stats`]), and collect
+//! end-of-stream summaries. Whole-trace streaming is
+//! [`ResilientClient::stream`]: it pipelines a bounded window of chunks
+//! before reading each snapshot back, so the link stays full without
+//! unbounded in-flight work on either side, and it heals transient
+//! faults as far as its [`RetryPolicy`] allows (`max_retries: 0` fails
+//! fast on the first one).
 //!
 //! # Example
 //!
 //! ```no_run
-//! use stems_client::Client;
+//! use stems_client::{ResilientClient, RetryPolicy};
 //! use stems_core::protocol::OpenRequest;
 //! use stems_core::{PrefetchConfig, Predictor};
 //! use stems_memsim::SystemConfig;
 //! use stems_trace::TraceReader;
 //!
-//! let mut client = Client::connect("127.0.0.1:4909").unwrap();
+//! let policy = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
+//! let mut client = ResilientClient::new("127.0.0.1:4909", policy);
 //! let session = client
 //!     .open(&OpenRequest {
 //!         system: SystemConfig::default(),
@@ -33,7 +37,7 @@
 //! ```
 
 use std::fmt;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -41,7 +45,7 @@ use stems_core::protocol::{
     self, ChunkStats, MetricsReply, OpenRequest, Request, Response, SessionSummary,
 };
 use stems_trace::store::TraceStoreError;
-use stems_trace::{Access, TraceReader};
+use stems_trace::Access;
 use stems_types::wire::{self, WireError};
 
 pub mod retry;
@@ -180,6 +184,23 @@ pub struct ResumeInfo {
     pub counters: stems_core::Counters,
 }
 
+/// The error for a reply that is not the `expected` one: `Busy` and
+/// `Error` replies become their typed errors, anything else is
+/// unexpected.
+fn refused(reply: Response, expected: &'static str) -> ClientError {
+    match reply {
+        Response::Busy {
+            session,
+            retry_after_ms,
+        } => ClientError::Busy {
+            session,
+            retry_after_ms,
+        },
+        Response::Error { session, message } => ClientError::Server { session, message },
+        _ => ClientError::UnexpectedResponse { expected },
+    }
+}
+
 /// One connection to a `stems-server` daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -284,44 +305,16 @@ impl Client {
         self.send(&Request::Open(Box::new(open.clone())))?;
         match self.read_response()? {
             Response::Opened { session } => Ok(session),
-            Response::Busy {
-                session,
-                retry_after_ms,
-            } => Err(ClientError::Busy {
-                session,
-                retry_after_ms,
-            }),
-            Response::Error { session, message } => Err(ClientError::Server { session, message }),
-            _ => Err(ClientError::UnexpectedResponse { expected: "Opened" }),
+            other => Err(refused(other, "Opened")),
         }
     }
 
-    /// Sends one chunk and waits for its counter snapshot — the
-    /// unpipelined convenience path. [`Client::stream`] keeps a window
-    /// in flight instead.
-    pub fn send_chunk(
-        &mut self,
-        session: u32,
-        records: &[Access],
-    ) -> Result<ChunkStats, ClientError> {
-        self.write_chunk(session, records)?;
-        self.read_stats()
-    }
-
-    /// Queues one chunk without waiting for its snapshot. Pair with
-    /// [`Client::read_stats`]; at most one snapshot is owed per queued
-    /// chunk.
-    pub fn write_chunk(&mut self, session: u32, records: &[Access]) -> Result<(), ClientError> {
-        self.frame.clear();
-        protocol::encode_chunk(&mut self.frame, &mut self.scratch, session, records);
-        self.writer.write_all(&self.frame)?;
-        Ok(())
-    }
-
-    /// Queues one *sequenced* chunk ([`Request::SeqChunk`]) without
-    /// waiting for its snapshot. Sequenced chunks are what make a
-    /// session resumable: the server journals `seq` and skips
-    /// retransmits idempotently.
+    /// Queues one sequenced chunk ([`Request::SeqChunk`]) without
+    /// waiting for its snapshot. Pair with [`Client::read_stats`]; at
+    /// most one snapshot is owed per queued chunk. Sequence numbers
+    /// start at 1 per session: the server journals `seq` and skips
+    /// retransmits idempotently, which is what makes a session
+    /// resumable.
     pub fn write_seq_chunk(
         &mut self,
         session: u32,
@@ -359,17 +352,7 @@ impl Client {
                 accesses_fed,
                 counters,
             }),
-            Response::Busy {
-                session,
-                retry_after_ms,
-            } => Err(ClientError::Busy {
-                session,
-                retry_after_ms,
-            }),
-            Response::Error { session, message } => Err(ClientError::Server { session, message }),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "Resumed",
-            }),
+            other => Err(refused(other, "Resumed")),
         }
     }
 
@@ -377,47 +360,8 @@ impl Client {
     pub fn read_stats(&mut self) -> Result<ChunkStats, ClientError> {
         match self.read_response()? {
             Response::Stats(stats) => Ok(stats),
-            Response::Busy {
-                session,
-                retry_after_ms,
-            } => Err(ClientError::Busy {
-                session,
-                retry_after_ms,
-            }),
-            Response::Error { session, message } => Err(ClientError::Server { session, message }),
-            _ => Err(ClientError::UnexpectedResponse { expected: "Stats" }),
+            other => Err(refused(other, "Stats")),
         }
-    }
-
-    /// Streams a whole persisted trace into `session`, keeping up to
-    /// `window` chunks in flight (clamped to at least 1). Returns the
-    /// number of records fed and the last counter snapshot, which
-    /// reflects every record because the final snapshots are drained
-    /// before returning.
-    pub fn stream<R: Read>(
-        &mut self,
-        session: u32,
-        reader: &mut TraceReader<R>,
-        window: usize,
-    ) -> Result<(u64, Option<ChunkStats>), ClientError> {
-        let window = window.max(1);
-        let mut in_flight = 0usize;
-        let mut fed = 0u64;
-        let mut last = None;
-        while let Some(chunk) = reader.next_chunk()? {
-            if in_flight == window {
-                last = Some(self.read_stats()?);
-                in_flight -= 1;
-            }
-            self.write_chunk(session, chunk)?;
-            in_flight += 1;
-            fed += chunk.len() as u64;
-        }
-        while in_flight > 0 {
-            last = Some(self.read_stats()?);
-            in_flight -= 1;
-        }
-        Ok((fed, last))
     }
 
     /// Scrapes the server's metrics: the rendered text exposition and,
@@ -440,17 +384,7 @@ impl Client {
         self.send(&Request::Close { session })?;
         match self.read_response()? {
             Response::Summary(summary) => Ok(*summary),
-            Response::Busy {
-                session,
-                retry_after_ms,
-            } => Err(ClientError::Busy {
-                session,
-                retry_after_ms,
-            }),
-            Response::Error { session, message } => Err(ClientError::Server { session, message }),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "Summary",
-            }),
+            other => Err(refused(other, "Summary")),
         }
     }
 

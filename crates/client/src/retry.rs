@@ -5,6 +5,8 @@
 //! logical session in a [`RetryPolicy`] (bounded exponential backoff
 //! with deterministic seeded jitter, connect timeout, per-call socket
 //! deadlines) and the resume protocol from `docs/FAULT_TOLERANCE.md`.
+//! [`ResilientClient::stream`] is the one whole-trace streaming loop; a
+//! caller that must fail fast passes a policy with `max_retries: 0`.
 //!
 //! The streaming path keeps every unacknowledged sequenced chunk
 //! buffered (as its already-encoded wire frame). When anything
@@ -126,8 +128,8 @@ pub struct FaultStats {
     pub chunks_deduped: u64,
 }
 
-/// One buffered in-flight chunk: its sequence number, the exact wire
-/// frame that was sent, and how many records it carries.
+/// One buffered in-flight chunk: its sequence number and the exact wire
+/// frame that was sent.
 struct Pending {
     seq: u64,
     frame: Vec<u8>,
@@ -142,6 +144,8 @@ pub struct ResilientClient {
     policy: RetryPolicy,
     client: Option<Client>,
     stats: FaultStats,
+    /// Buffers of acknowledged frames, reused for later chunks.
+    spare: Vec<Vec<u8>>,
 }
 
 impl ResilientClient {
@@ -153,17 +157,13 @@ impl ResilientClient {
             policy,
             client: None,
             stats: FaultStats::default(),
+            spare: Vec::new(),
         }
     }
 
     /// What the retry layer has healed so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     fn connect(&mut self) -> Result<&mut Client, ClientError> {
@@ -246,7 +246,9 @@ impl ResilientClient {
     /// is buffered here as encoded frames; a resume resends exactly
     /// the frames the server's journal has not applied, and the
     /// server's dedupe absorbs any overlap. Counters stay
-    /// byte-identical to a fault-free run.
+    /// byte-identical to a fault-free run. An acknowledged frame's
+    /// buffer is reused for a later chunk, so once the window is full
+    /// streaming allocates nothing per chunk.
     pub fn stream<R: Read>(
         &mut self,
         session: u32,
@@ -254,7 +256,7 @@ impl ResilientClient {
         window: usize,
     ) -> Result<(u64, Option<ChunkStats>), ClientError> {
         let window = window.max(1);
-        let mut pending: VecDeque<Pending> = VecDeque::with_capacity(window);
+        let mut pending: VecDeque<Pending> = VecDeque::new();
         let mut next_seq = 1u64;
         let mut acked_seq = 0u64;
         let mut fed = 0u64;
@@ -270,7 +272,8 @@ impl ResilientClient {
                 match reader.next_chunk()? {
                     None => exhausted = true,
                     Some(chunk) => {
-                        let mut frame = Vec::new();
+                        let mut frame = self.spare.pop().unwrap_or_default();
+                        frame.clear();
                         protocol::encode_seq_chunk(
                             &mut frame,
                             &mut scratch,
@@ -307,6 +310,7 @@ impl ResilientClient {
                     attempt = 0;
                     let head = pending.pop_front().expect("stats without a pending chunk");
                     acked_seq = head.seq;
+                    self.spare.push(head.frame);
                     last = Some(stats);
                 }
                 Err(e) => {
@@ -356,6 +360,7 @@ impl ResilientClient {
             while pending.front().is_some_and(|p| p.seq <= info.last_seq) {
                 let done = pending.pop_front().expect("checked non-empty");
                 *acked_seq = done.seq;
+                self.spare.push(done.frame);
                 self.stats.chunks_deduped += 1;
             }
             *last = Some(ChunkStats {

@@ -3,11 +3,12 @@
 //! The framing below these messages (hello, kind byte, length prefix,
 //! CRC-32) lives in `stems_types::wire`; this module defines what the
 //! payloads *mean*: a client opens sessions (each with its own
-//! [`SystemConfig`]/[`PrefetchConfig`]/[`Predictor`]), streams trace
-//! chunks into them, and receives per-chunk counter snapshots plus an
-//! end-of-stream summary. Chunk payloads reuse the trace store's
-//! columnar record codec ([`stems_trace::store::encode_records`]) so a
-//! persisted trace can be streamed to a server without transcoding.
+//! [`SystemConfig`]/[`PrefetchConfig`]/[`Predictor`]), streams
+//! sequenced trace chunks into them, and receives per-chunk counter
+//! snapshots plus an end-of-stream summary. Chunk payloads reuse the
+//! trace store's columnar record codec
+//! ([`stems_trace::store::encode_records`]) so a persisted trace can be
+//! streamed to a server without transcoding.
 //! The byte-level spec is `docs/WIRE_PROTOCOL.md`.
 //!
 //! Every decode path returns a typed [`WireError`] on hostile bytes —
@@ -48,8 +49,6 @@ use stems_types::wire::{self, WireError};
 
 /// Message kind: client opens a session.
 pub const KIND_OPEN: u8 = 0x01;
-/// Message kind: client streams a chunk of trace records into a session.
-pub const KIND_CHUNK: u8 = 0x02;
 /// Message kind: client closes a session (server replies with a summary).
 pub const KIND_CLOSE: u8 = 0x03;
 /// Message kind: client asks the server to drain all sessions and exit.
@@ -57,9 +56,10 @@ pub const KIND_SHUTDOWN: u8 = 0x04;
 /// Message kind: client asks for a metrics scrape (and optionally the
 /// buffered event log).
 pub const KIND_METRICS: u8 = 0x05;
-/// Message kind: client streams a *sequenced* chunk — a `Chunk` plus a
-/// monotonic per-session sequence number, the resumable-delivery path
-/// (`docs/FAULT_TOLERANCE.md`).
+/// Message kind: client streams a chunk of trace records into a
+/// session, tagged with a monotonic per-session sequence number so
+/// delivery is resumable (`docs/FAULT_TOLERANCE.md`). Kind 0x02, the
+/// unsequenced chunk of wire version 1, is retired and unassigned.
 pub const KIND_SEQ_CHUNK: u8 = 0x06;
 /// Message kind: a reconnecting client re-attaches to a session and
 /// asks where delivery stopped.
@@ -154,24 +154,17 @@ pub struct MetricsReply {
 pub enum Request {
     /// Open a session with the given tenant configuration.
     Open(Box<OpenRequest>),
-    /// Feed a chunk of records into an open session.
-    Chunk {
+    /// Feed a chunk of records into an open session, tagged with a
+    /// monotonic per-session sequence number so delivery is idempotent
+    /// — a chunk whose `seq` the session has already applied is skipped
+    /// and answered from the journal instead of re-run (exactly-once
+    /// application under retries).
+    SeqChunk {
         /// Target session id (from [`Response::Opened`]).
         session: u32,
-        /// The records, in trace order.
-        records: Vec<Access>,
-    },
-    /// Feed a *sequenced* chunk: like [`Request::Chunk`], but tagged
-    /// with a monotonic per-session sequence number so delivery is
-    /// idempotent — a chunk whose `seq` the session has already applied
-    /// is skipped and answered from the journal instead of re-run
-    /// (exactly-once application under retries).
-    SeqChunk {
-        /// Target session id.
-        session: u32,
-        /// 1-based position of this chunk in the session's stream. The
-        /// server applies `seq == last_seq + 1`, dedupes
-        /// `seq <= last_seq`, and rejects gaps.
+        /// 1-based position of this chunk in the session's stream
+        /// (0 does not decode). The server applies `seq == last_seq +
+        /// 1`, dedupes `seq <= last_seq`, and rejects gaps.
         seq: u64,
         /// The records, in trace order.
         records: Vec<Access>,
@@ -449,25 +442,18 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
     })
 }
 
-fn encode_chunk_payload(out: &mut Vec<u8>, session: u32, records: &[Access]) {
+fn write_seq_chunk(out: &mut Vec<u8>, session: u32, seq: u64, records: &[Access]) {
     varint::write_u64(out, session as u64);
+    varint::write_u64(out, seq);
     varint::write_u64(out, records.len() as u64);
     encode_records(records, out);
 }
 
-/// Appends one complete `Chunk` wire message for borrowed records —
-/// byte-identical to encoding `Request::Chunk` with the same data, but
-/// without cloning the records into an owned `Vec`. This is the
+/// Appends one complete `SeqChunk` wire message for borrowed records —
+/// byte-identical to encoding [`Request::SeqChunk`] with the same data,
+/// but without cloning the records into an owned `Vec`. This is the
 /// streaming client's hot path: trace-store chunks arrive as borrowed
 /// slices.
-pub fn encode_chunk(out: &mut Vec<u8>, scratch: &mut Vec<u8>, session: u32, records: &[Access]) {
-    scratch.clear();
-    encode_chunk_payload(scratch, session, records);
-    wire::encode_message(out, KIND_CHUNK, scratch);
-}
-
-/// Appends one complete `SeqChunk` wire message for borrowed records —
-/// the resumable streaming client's hot path (see [`encode_chunk`]).
 pub fn encode_seq_chunk(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
@@ -476,10 +462,7 @@ pub fn encode_seq_chunk(
     records: &[Access],
 ) {
     scratch.clear();
-    varint::write_u64(scratch, session as u64);
-    varint::write_u64(scratch, seq);
-    varint::write_u64(scratch, records.len() as u64);
-    encode_records(records, scratch);
+    write_seq_chunk(scratch, session, seq, records);
     wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
 }
 
@@ -505,7 +488,6 @@ impl Request {
     pub fn kind(&self) -> u8 {
         match self {
             Request::Open(_) => KIND_OPEN,
-            Request::Chunk { .. } => KIND_CHUNK,
             Request::SeqChunk { .. } => KIND_SEQ_CHUNK,
             Request::Resume { .. } => KIND_RESUME,
             Request::Close { .. } => KIND_CLOSE,
@@ -522,17 +504,11 @@ impl Request {
         scratch.clear();
         match self {
             Request::Open(o) => write_open(scratch, o),
-            Request::Chunk { session, records } => encode_chunk_payload(scratch, *session, records),
             Request::SeqChunk {
                 session,
                 seq,
                 records,
-            } => {
-                varint::write_u64(scratch, *session as u64);
-                varint::write_u64(scratch, *seq);
-                varint::write_u64(scratch, records.len() as u64);
-                encode_records(records, scratch);
-            }
+            } => write_seq_chunk(scratch, *session, *seq, records),
             Request::Resume { session, last_seq } => {
                 varint::write_u64(scratch, *session as u64);
                 varint::write_u64(scratch, *last_seq);
@@ -559,15 +535,14 @@ impl Request {
         let mut pos = 0usize;
         let req = match kind {
             KIND_OPEN => Request::Open(Box::new(read_open(payload, &mut pos)?)),
-            KIND_CHUNK => {
-                let session = read_u32(payload, &mut pos, "truncated chunk header")?;
-                let count = read_u32(payload, &mut pos, "truncated chunk header")?;
-                let records = read_records(&payload[pos..], count, records)?;
-                return Ok(Request::Chunk { session, records });
-            }
             KIND_SEQ_CHUNK => {
                 let session = read_u32(payload, &mut pos, "truncated seq chunk header")?;
                 let seq = read_u64(payload, &mut pos, "truncated seq chunk header")?;
+                // Sequence numbers are 1-based: a 0 would read as a
+                // duplicate of "nothing applied yet" and be dropped.
+                if seq == 0 {
+                    return Err(WireError::Corrupt("seq chunk sequence is zero"));
+                }
                 let count = read_u32(payload, &mut pos, "truncated seq chunk header")?;
                 let records = read_records(&payload[pos..], count, records)?;
                 return Ok(Request::SeqChunk {
@@ -838,10 +813,13 @@ impl Response {
                     _ => return Err(WireError::Corrupt("bad error session flag")),
                 };
                 let len = read_u64(payload, &mut pos, "truncated error")? as usize;
-                let bytes = payload
-                    .get(pos..pos + len)
+                let end = pos
+                    .checked_add(len)
                     .ok_or(WireError::Corrupt("truncated error message"))?;
-                pos += len;
+                let bytes = payload
+                    .get(pos..end)
+                    .ok_or(WireError::Corrupt("truncated error message"))?;
+                pos = end;
                 let message = String::from_utf8(bytes.to_vec())
                     .map_err(|_| WireError::Corrupt("error message is not utf-8"))?;
                 Response::Error { session, message }
@@ -919,12 +897,14 @@ mod tests {
             .collect();
         for req in [
             Request::Open(Box::new(sample_open())),
-            Request::Chunk {
+            Request::SeqChunk {
                 session: 7,
+                seq: 2,
                 records,
             },
-            Request::Chunk {
+            Request::SeqChunk {
                 session: 0,
+                seq: 1,
                 records: Vec::new(),
             },
             Request::SeqChunk {
@@ -1116,8 +1096,9 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        Request::Chunk {
+        Request::SeqChunk {
             session: 1,
+            seq: 1,
             records,
         }
         .encode(&mut out, &mut scratch);
@@ -1125,21 +1106,14 @@ mod tests {
         // Bump the count without extending the columns: typed corrupt.
         let mut bad = Vec::new();
         varint::write_u64(&mut bad, 1); // session
+        varint::write_u64(&mut bad, 1); // seq
         varint::write_u64(&mut bad, 11); // count, one too many
         let mut pos = 0;
-        let s = varint::read_u64(payload).unwrap().1;
-        pos += s;
-        pos += varint::read_u64(&payload[pos..]).unwrap().1;
+        for _ in 0..3 {
+            pos += varint::read_u64(&payload[pos..]).unwrap().1;
+        }
         bad.extend_from_slice(&payload[pos..]);
-        assert!(Request::decode(KIND_CHUNK, &bad).is_err());
-        // A count past MAX_FRAME_RECORDS is rejected before decoding.
-        let mut huge = Vec::new();
-        varint::write_u64(&mut huge, 1);
-        varint::write_u64(&mut huge, (MAX_FRAME_RECORDS + 1) as u64);
-        assert!(matches!(
-            Request::decode(KIND_CHUNK, &huge),
-            Err(WireError::Corrupt("chunk record count out of range"))
-        ));
+        assert!(Request::decode(KIND_SEQ_CHUNK, &bad).is_err());
     }
 
     #[test]
@@ -1219,6 +1193,40 @@ mod tests {
         assert!(matches!(
             Request::decode(KIND_RESUME, &resume),
             Err(WireError::Corrupt("trailing bytes after request"))
+        ));
+    }
+
+    #[test]
+    fn seq_zero_and_the_retired_chunk_kind_are_typed_errors() {
+        // Sequence numbers are 1-based: the server's journal would take
+        // a 0 for a duplicate and drop its records.
+        assert!(matches!(
+            Request::decode(KIND_SEQ_CHUNK, &[3, 0, 0]), // session 3, seq 0, count 0
+            Err(WireError::Corrupt("seq chunk sequence is zero"))
+        ));
+        // Wire version 2 retired the unsequenced chunk: 0x02 is unassigned.
+        assert!(matches!(
+            Request::decode(0x02, &[1, 0]),
+            Err(WireError::UnknownKind { kind: 0x02 })
+        ));
+    }
+
+    #[test]
+    fn hostile_error_payloads_are_typed_errors() {
+        // A message length running past the payload is truncated, and so
+        // is one whose end overflows: no arithmetic panic.
+        for len in [10, u64::MAX] {
+            let mut bad = vec![0];
+            varint::write_u64(&mut bad, len);
+            bad.extend_from_slice(b"short");
+            assert!(matches!(
+                Response::decode(KIND_ERROR, &bad),
+                Err(WireError::Corrupt("truncated error message"))
+            ));
+        }
+        assert!(matches!(
+            Response::decode(KIND_ERROR, &[2]),
+            Err(WireError::Corrupt("bad error session flag"))
         ));
     }
 

@@ -167,7 +167,12 @@ pub fn wire_replay_throughput(
     let handle = std::thread::spawn(move || server.run());
     let mut best = f64::MAX;
     {
-        let mut client = stems_client::Client::connect(addr).expect("connect to bench server");
+        // A bench fault is a failed run, not something to heal.
+        let policy = stems_client::RetryPolicy {
+            max_retries: 0,
+            ..stems_client::RetryPolicy::default()
+        };
+        let mut client = stems_client::ResilientClient::new(addr.to_string(), policy);
         let open = crate::runner::remote_open_request(workload, Predictor::None, &sys);
         for _ in 0..reps.max(1) {
             let (fed, secs) = time(|| {
@@ -183,7 +188,12 @@ pub fn wire_replay_throughput(
             assert_eq!(fed, trace.len() as u64, "stream must feed the whole trace");
             best = best.min(secs);
         }
-        client.shutdown_server().expect("drain bench server");
+        // The streaming connection closes here, before the server joins
+        // its workers.
+        drop(client);
+        stems_client::Client::connect(addr)
+            .and_then(|mut admin| admin.shutdown_server())
+            .expect("drain bench server");
     }
     handle
         .join()

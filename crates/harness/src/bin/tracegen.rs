@@ -13,36 +13,38 @@
 //! ```
 //!
 //! `capture` writes the chunked store format (`docs/TRACE_FORMAT.md`);
-//! `info` auto-detects a legacy `STEMSTR1` blob and reads that too.
-//! `verify` is the round-trip oracle used by CI: every predictor's
-//! counters from streaming replay must equal the in-memory run's.
+//! `info` streams its stats. `verify` is the round-trip oracle used by
+//! CI: every predictor's counters from streaming replay must equal the
+//! in-memory run's.
 //! `verify --repair` first truncates a damaged store to its last valid
 //! frame boundary (`TraceReader::recover_tail`) so an interrupted
 //! capture reads cleanly again — note a repaired file holds a *prefix*
 //! of the workload, so full verification still reports the shortfall.
 //! `replay --remote` streams the store to a running `stems-serve`
 //! daemon instead, using the identical session configuration, so its
-//! counters line up with the local replay row for row-by-row diffing.
-//! `--retry` swaps in the resilient client (`docs/FAULT_TOLERANCE.md`):
-//! transient faults heal via backoff + resume, and a trailing
-//! `fault-stats:` line reports what was healed (`--retry-seed` pins the
-//! jitter schedule for reproducible chaos runs).
+//! counters line up with the local replay row for row-by-row diffing
+//! (the counters row is the last line printed, after a `fault-stats:`
+//! line). The stream keeps `--window` chunks in flight (at least 1,
+//! default 4) and fails on the first fault; `--retry` gives it the
+//! default retry policy instead (`docs/FAULT_TOLERANCE.md`), so
+//! transient faults heal via backoff + resume, and the `fault-stats:`
+//! line reports what was healed (`--retry-seed` pins the jitter
+//! schedule for reproducible chaos runs).
 //! `metrics --remote` scrapes a live daemon's observability registry
 //! (`docs/OBSERVABILITY.md`) and prints the text exposition; `--events`
 //! also drains the daemon's event ring as JSON-lines.
 
-use std::fs::File;
-use std::io::{BufReader, Read};
 use std::path::Path;
 use std::process::ExitCode;
 
+use stems_client::{ClientError, ResilientClient, RetryPolicy};
 use stems_core::engine::Counters;
 use stems_harness::runner::{
     remote_open_request, replay_coverage, run_coverage, system_config, Predictor,
 };
 use stems_harness::{parallel_map, Settings};
 use stems_trace::store::SyncPolicy;
-use stems_trace::{read_trace, TraceReader, TraceStats};
+use stems_trace::{TraceReader, TraceStats};
 use stems_workloads::{capture_to_path, trace_file_name, Workload};
 
 fn workload_by_name(name: &str) -> Option<Workload> {
@@ -161,33 +163,6 @@ fn capture_all(args: &[String]) -> ExitCode {
 }
 
 fn info(path: &str) -> ExitCode {
-    // Auto-detect: chunked store vs legacy blob by magic.
-    let mut magic = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read(&mut magic).unwrap_or(0) < 8 {
-                eprintln!("{path}: too short to be a trace");
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if &magic == b"STEMSTR1" {
-        let file = File::open(path).expect("reopen just-opened file");
-        return match read_trace(BufReader::new(file)) {
-            Ok(trace) => {
-                println!("{path} (legacy blob): {}", trace.stats());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("not a valid trace: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     match TraceReader::open(path) {
         Ok(mut reader) => match TraceStats::from_reader(&mut reader) {
             Ok(stats) => {
@@ -206,18 +181,19 @@ fn info(path: &str) -> ExitCode {
     }
 }
 
+fn arg_after<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+}
+
 fn replay(args: &[String]) -> ExitCode {
     let path = &args[0];
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let Some(workload) = arg_after("--workload").and_then(|n| workload_by_name(n)) else {
+    let Some(workload) = arg_after(args, "--workload").and_then(|n| workload_by_name(n)) else {
         eprintln!("replay needs --workload <name> (selects prefetch config + invalidation rate)");
         return ExitCode::FAILURE;
     };
-    let predictor = match arg_after("--predictor") {
+    let predictor = match arg_after(args, "--predictor") {
         Some(name) => match name.parse::<Predictor>() {
             Ok(p) => p,
             Err(e) => {
@@ -232,15 +208,16 @@ fn replay(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let sys = system_config(settings.scale);
-    if let Some(addr) = arg_after("--remote") {
-        let window: usize = arg_after("--window")
-            .and_then(|w| w.parse().ok())
-            .unwrap_or(4);
-        if args.iter().any(|a| a == "--retry") {
-            let seed = arg_after("--retry-seed").and_then(|s| s.parse().ok());
-            return resilient_replay(path, workload, predictor, &sys, addr, window, seed);
-        }
-        return remote_replay(path, workload, predictor, &sys, addr, window);
+    if let Some(addr) = arg_after(args, "--remote") {
+        return match remote_flags(args) {
+            Ok((window, policy)) => {
+                remote_replay(path, workload, predictor, &sys, addr, window, policy)
+            }
+            Err(e) => {
+                eprintln!("tracegen: {e}");
+                ExitCode::from(2)
+            }
+        };
     }
     match replay_coverage(workload, predictor, path, &sys) {
         Ok((counters, fed)) => {
@@ -255,10 +232,61 @@ fn replay(args: &[String]) -> ExitCode {
     }
 }
 
+/// Parses `replay --remote`'s own flags: `--window n` (n at least 1,
+/// default 4) and `--retry [--retry-seed n]`. Without `--retry` the
+/// policy makes no retries. A missing or malformed value, a zero
+/// window, or `--retry-seed` without `--retry` is an error naming the
+/// flag; other arguments are skipped.
+fn remote_flags(args: &[String]) -> Result<(usize, RetryPolicy), String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        let v = v
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+    }
+    let (mut window, mut retry, mut seed) = (4, false, None);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--window" => window = value(flag, args.next())?,
+            "--retry" => retry = true,
+            "--retry-seed" => seed = Some(value(flag, args.next())?),
+            _ => {}
+        }
+    }
+    let default = RetryPolicy::default();
+    match (retry, seed) {
+        _ if window == 0 => Err("--window must be at least 1".into()),
+        (false, Some(_)) => Err("--retry-seed needs --retry".into()),
+        (false, None) => Ok((
+            window,
+            RetryPolicy {
+                max_retries: 0,
+                ..default
+            },
+        )),
+        (true, seed) => {
+            let jitter_seed = seed.unwrap_or(default.jitter_seed);
+            Ok((
+                window,
+                RetryPolicy {
+                    jitter_seed,
+                    ..default
+                },
+            ))
+        }
+    }
+}
+
 /// Streams the store to a `stems-serve` daemon with the same workload
 /// session configuration the local path uses (see
 /// `runner::remote_open_request`), so the printed counters line up with
-/// `tracegen replay` and `tracegen verify` for the same file.
+/// `tracegen replay` and `tracegen verify` for the same file. The
+/// stream heals transient faults as far as `policy` allows (torn
+/// connections, corrupt frames, `Busy` shedding, via backoff +
+/// resume). One `fault-stats:` line, printed before the counters row,
+/// lets chaos harnesses reconcile the healing against a fault proxy's
+/// injection log.
 fn remote_replay(
     path: &str,
     workload: Workload,
@@ -266,6 +294,7 @@ fn remote_replay(
     sys: &stems_memsim::SystemConfig,
     addr: &str,
     window: usize,
+    policy: RetryPolicy,
 ) -> ExitCode {
     let open = remote_open_request(workload, predictor, sys);
     let mut reader = match TraceReader::open(path) {
@@ -275,55 +304,8 @@ fn remote_replay(
             return ExitCode::FAILURE;
         }
     };
-    let mut run = || -> Result<_, stems_client::ClientError> {
-        let mut client = stems_client::Client::connect(addr)?;
-        let session = client.open(&open)?;
-        let (fed, _) = client.stream(session, &mut reader, window)?;
-        let summary = client.close(session)?;
-        Ok((fed, summary))
-    };
-    match run() {
-        Ok((fed, summary)) => {
-            println!("{path}: streamed {fed} accesses to {addr} through {predictor}");
-            counters_row(predictor.name(), &summary.counters);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("remote replay failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Like [`remote_replay`], but through [`stems_client::ResilientClient`]:
-/// transient faults (torn connections, corrupt frames, `Busy`
-/// shedding) heal via backoff + resume instead of failing the replay.
-/// Prints one `fault-stats:` line so chaos harnesses can reconcile the
-/// client's healing against a fault proxy's injection log.
-#[allow(clippy::too_many_arguments)]
-fn resilient_replay(
-    path: &str,
-    workload: Workload,
-    predictor: Predictor,
-    sys: &stems_memsim::SystemConfig,
-    addr: &str,
-    window: usize,
-    seed: Option<u64>,
-) -> ExitCode {
-    let open = remote_open_request(workload, predictor, sys);
-    let mut reader = match TraceReader::open(path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut policy = stems_client::RetryPolicy::default();
-    if let Some(seed) = seed {
-        policy.jitter_seed = seed;
-    }
-    let mut client = stems_client::ResilientClient::new(addr, policy);
-    let result = (|| -> Result<_, stems_client::ClientError> {
+    let mut client = ResilientClient::new(addr, policy);
+    let result = (|| -> Result<_, ClientError> {
         let session = client.open(&open)?;
         let (fed, _) = client.stream(session, &mut reader, window)?;
         let summary = client.close(session)?;
@@ -332,8 +314,7 @@ fn resilient_replay(
     match result {
         Ok((fed, summary)) => {
             let stats = client.stats();
-            println!("{path}: streamed {fed} accesses to {addr} through {predictor} (resilient)");
-            counters_row(predictor.name(), &summary.counters);
+            println!("{path}: streamed {fed} accesses to {addr} through {predictor}");
             println!(
                 "fault-stats: reconnects={} resumes={} busy_retries={} \
                  chunks_resent={} chunks_deduped={}",
@@ -343,6 +324,7 @@ fn resilient_replay(
                 stats.chunks_resent,
                 stats.chunks_deduped
             );
+            counters_row(predictor.name(), &summary.counters);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -357,17 +339,12 @@ fn resilient_replay(
 /// ring is drained and printed after the exposition (separated by a
 /// blank line) as JSON-lines.
 fn metrics(args: &[String]) -> ExitCode {
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let Some(addr) = arg_after("--remote") else {
+    let Some(addr) = arg_after(args, "--remote") else {
         eprintln!("metrics needs --remote HOST:PORT (a running stems-serve daemon)");
         return ExitCode::FAILURE;
     };
     let drain_events = args.iter().any(|a| a == "--events");
-    let run = || -> Result<_, stems_client::ClientError> {
+    let run = || -> Result<_, ClientError> {
         let mut client = stems_client::Client::connect(addr)?;
         client.metrics(drain_events)
     };
@@ -462,5 +439,46 @@ fn main() -> ExitCode {
         Some("verify") if args.len() >= 3 => verify(&args[1..]),
         Some("metrics") if args.len() >= 2 => metrics(&args[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn remote_flags_accept_and_reject() {
+        // (window, max_retries, jitter_seed) of each parse.
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            remote_flags(&args).map(|(w, p)| (w, p.max_retries, p.jitter_seed))
+        };
+        let RetryPolicy {
+            max_retries: retries,
+            jitter_seed: seed,
+            ..
+        } = RetryPolicy::default();
+        let accepts = |args: &[&str], want| assert_eq!(parse(args), Ok(want), "{args:?}");
+        accepts(&["db2.stems", "--workload", "db2"], (4, 0, seed));
+        accepts(&["--window", "1", "--remote", "127.0.0.1:1"], (1, 0, seed));
+        accepts(&["--retry"], (4, retries, seed));
+        accepts(
+            &["--retry", "--retry-seed", "7", "--window", "8"],
+            (8, retries, 7),
+        );
+        accepts(&["--retry-seed", "9", "--retry"], (4, retries, 9));
+        let rejected: [&[&str]; 8] = [
+            &["--window", "x"],
+            &["--window", "0"],
+            &["--window", "-4"],
+            &["--window"],
+            &["--window", "--retry"],
+            &["--retry", "--retry-seed", "banana"],
+            &["--retry", "--retry-seed"],
+            &["--retry-seed", "7"],
+        ];
+        for args in rejected {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
     }
 }

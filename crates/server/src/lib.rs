@@ -2,7 +2,7 @@
 //!
 //! A [`Server`] listens on one TCP port and multiplexes any number of
 //! tenant [`Session`]s: each `Open` request carries its own
-//! `SystemConfig`/`PrefetchConfig`/`Predictor` choice, each `Chunk`
+//! `SystemConfig`/`PrefetchConfig`/`Predictor` choice, each `SeqChunk`
 //! feeds records straight into `Session::run_chunk`, and every chunk is
 //! answered with a counter snapshot so the client can watch coverage
 //! converge while the trace streams. Message framing is
@@ -132,8 +132,7 @@ struct SessionState {
     fed: u64,
     /// Sequence number of the last applied chunk (0 = none yet). A
     /// `SeqChunk` at or below this is a retransmit and is skipped
-    /// idempotently; legacy unsequenced `Chunk`s advance it too, so the
-    /// two framings cannot silently interleave.
+    /// idempotently.
     last_seq: u64,
 }
 
@@ -177,6 +176,21 @@ struct Shared {
 const BUSY_SESSION: &str = "session is busy on another connection";
 
 impl Shared {
+    fn new(config: ServerConfig) -> Shared {
+        Shared {
+            shutdown: AtomicBool::new(false),
+            table: Mutex::new(Table {
+                next_id: 1,
+                slots: HashMap::new(),
+                recent: VecDeque::new(),
+            }),
+            obs: ServerObs::new(config.log, config.slow_chunk_nanos, config.event_capacity),
+            in_flight_chunks: AtomicUsize::new(0),
+            connections: AtomicUsize::new(0),
+            config,
+        }
+    }
+
     fn checkout(&self, id: u32) -> Result<Box<SessionState>, &'static str> {
         let mut table = self.table.lock().unwrap();
         match table.slots.get_mut(&id) {
@@ -405,18 +419,7 @@ impl Server {
         Ok(Server {
             listener,
             local_addr,
-            shared: Arc::new(Shared {
-                shutdown: AtomicBool::new(false),
-                table: Mutex::new(Table {
-                    next_id: 1,
-                    slots: HashMap::new(),
-                    recent: VecDeque::new(),
-                }),
-                obs: ServerObs::new(config.log, config.slow_chunk_nanos, config.event_capacity),
-                in_flight_chunks: AtomicUsize::new(0),
-                connections: AtomicUsize::new(0),
-                config,
-            }),
+            shared: Arc::new(Shared::new(config)),
         })
     }
 
@@ -617,20 +620,12 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         };
         let reply = match request {
             Request::Open(open) => handle_open(shared, &open),
-            Request::Chunk {
-                session,
-                records: chunk,
-            } => {
-                let reply = handle_chunk(shared, session, None, &chunk);
-                records = chunk;
-                reply
-            }
             Request::SeqChunk {
                 session,
                 seq,
                 records: chunk,
             } => {
-                let reply = handle_chunk(shared, session, Some(seq), &chunk);
+                let reply = handle_chunk(shared, session, seq, &chunk);
                 records = chunk;
                 reply
             }
@@ -715,12 +710,12 @@ fn handle_open(shared: &Shared, open: &OpenRequest) -> Response {
     Response::Opened { session: id }
 }
 
-/// Runs one chunk — sequenced (`seq: Some`) or legacy — through the
-/// admission gate, the session checkout, and the dedupe/gap journal.
+/// Runs one sequenced chunk through the admission gate, the session
+/// checkout, and the dedupe/gap journal.
 fn handle_chunk(
     shared: &Shared,
     session: u32,
-    seq: Option<u64>,
+    seq: u64,
     records: &[stems_trace::Access],
 ) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -756,40 +751,32 @@ fn handle_chunk(
     // panics (the worker's unwind would otherwise orphan it forever).
     let mut guard = CheckoutGuard::new(shared, session, state);
     let state = guard.state();
-    match seq {
-        // A retransmit the journal already applied: skip it
-        // idempotently and re-answer with the current snapshot, so a
-        // client that lost the original Stats still converges.
-        Some(seq) if seq <= state.last_seq => {
-            shared.obs.chunk_deduped();
-            let stats = ChunkStats {
-                session,
-                accesses_fed: state.fed,
-                counters: *state.session.counters(),
-            };
-            guard.finish();
-            return Response::Stats(stats);
-        }
-        // A gap means the client skipped data we never saw; applying
-        // it would silently drift the counters. Fatal, not retryable.
-        Some(seq) if seq != state.last_seq + 1 => {
-            let last_seq = state.last_seq;
-            guard.finish();
-            return Response::Error {
-                session: Some(session),
-                message: format!("sequence gap: got {seq}, journal is at {last_seq}"),
-            };
-        }
-        _ => {}
+    // A retransmit the journal already applied: skip it idempotently
+    // and re-answer with the current snapshot, so a client that lost
+    // the original Stats still converges.
+    if seq <= state.last_seq {
+        shared.obs.chunk_deduped();
+        let stats = ChunkStats {
+            session,
+            accesses_fed: state.fed,
+            counters: *state.session.counters(),
+        };
+        guard.finish();
+        return Response::Stats(stats);
+    }
+    // A gap means the client skipped data we never saw; applying it
+    // would silently drift the counters. Fatal, not retryable.
+    if seq != state.last_seq + 1 {
+        let last_seq = state.last_seq;
+        guard.finish();
+        return Response::Error {
+            session: Some(session),
+            message: format!("sequence gap: got {seq}, journal is at {last_seq}"),
+        };
     }
     state.session.run_chunk(records);
     state.fed += records.len() as u64;
-    // Legacy unsequenced chunks advance the journal too, so the two
-    // framings can never interleave into a stale dedupe decision.
-    state.last_seq = match seq {
-        Some(seq) => seq,
-        None => state.last_seq + 1,
-    };
+    state.last_seq = seq;
     let stats = ChunkStats {
         session,
         accesses_fed: state.fed,
@@ -881,22 +868,10 @@ mod tests {
     use stems_memsim::SystemConfig;
 
     fn test_shared() -> Shared {
-        let config = ServerConfig {
+        Shared::new(ServerConfig {
             event_capacity: 16,
             ..ServerConfig::default()
-        };
-        Shared {
-            shutdown: AtomicBool::new(false),
-            table: Mutex::new(Table {
-                next_id: 1,
-                slots: HashMap::new(),
-                recent: VecDeque::new(),
-            }),
-            obs: ServerObs::new(config.log, config.slow_chunk_nanos, config.event_capacity),
-            in_flight_chunks: AtomicUsize::new(0),
-            connections: AtomicUsize::new(0),
-            config,
-        }
+        })
     }
 
     fn open_session(shared: &Shared) -> u32 {
@@ -967,7 +942,7 @@ mod tests {
         let records: Vec<_> = (0..8).map(acc).collect();
 
         // seq 1 applies.
-        let first = match handle_chunk(&shared, id, Some(1), &records) {
+        let first = match handle_chunk(&shared, id, 1, &records) {
             Response::Stats(s) => s,
             other => panic!("seq 1 rejected: {other:?}"),
         };
@@ -975,28 +950,28 @@ mod tests {
 
         // A retransmit of seq 1 is skipped idempotently and re-answers
         // the same snapshot — counters must not drift.
-        let replayed = match handle_chunk(&shared, id, Some(1), &records) {
+        let replayed = match handle_chunk(&shared, id, 1, &records) {
             Response::Stats(s) => s,
             other => panic!("dedupe failed: {other:?}"),
         };
         assert_eq!(replayed, first);
 
         // seq 2 continues the stream.
-        let second = match handle_chunk(&shared, id, Some(2), &records) {
+        let second = match handle_chunk(&shared, id, 2, &records) {
             Response::Stats(s) => s,
             other => panic!("seq 2 rejected: {other:?}"),
         };
         assert_eq!(second.accesses_fed, 16);
 
         // seq 4 is a gap: typed error, nothing applied.
-        match handle_chunk(&shared, id, Some(4), &records) {
+        match handle_chunk(&shared, id, 4, &records) {
             Response::Error { session, message } => {
                 assert_eq!(session, Some(id));
                 assert!(message.contains("sequence gap"), "{message}");
             }
             other => panic!("gap accepted: {other:?}"),
         }
-        let after_gap = match handle_chunk(&shared, id, Some(3), &records) {
+        let after_gap = match handle_chunk(&shared, id, 3, &records) {
             Response::Stats(s) => s,
             other => panic!("seq 3 rejected after gap: {other:?}"),
         };
@@ -1020,10 +995,10 @@ mod tests {
             .collect();
         for (i, chunk) in chunks.iter().enumerate() {
             let seq = i as u64 + 1;
-            handle_chunk(&clean, a, Some(seq), chunk);
-            handle_chunk(&noisy, b, Some(seq), chunk);
+            handle_chunk(&clean, a, seq, chunk);
+            handle_chunk(&noisy, b, seq, chunk);
             // Every chunk delivered twice on the noisy path.
-            handle_chunk(&noisy, b, Some(seq), chunk);
+            handle_chunk(&noisy, b, seq, chunk);
         }
         let s1 = match handle_close(&clean, a) {
             Response::Summary(s) => s,
@@ -1038,33 +1013,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_chunks_advance_the_journal() {
-        let shared = test_shared();
-        let id = open_session(&shared);
-        let records: Vec<_> = (0..4).map(acc).collect();
-        handle_chunk(&shared, id, None, &records);
-        handle_chunk(&shared, id, None, &records);
-        // The journal advanced under the legacy chunks, so seq 1 and 2
-        // are behind it (deduped), seq 3 applies.
-        let before = match handle_chunk(&shared, id, Some(1), &records) {
-            Response::Stats(s) => s,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(before.accesses_fed, 8, "seq 1 was a no-op");
-        let applied = match handle_chunk(&shared, id, Some(3), &records) {
-            Response::Stats(s) => s,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(applied.accesses_fed, 12);
-    }
-
-    #[test]
     fn resume_reports_the_journal_and_rejects_ahead_clients() {
         let shared = test_shared();
         let id = open_session(&shared);
         let records: Vec<_> = (0..8).map(acc).collect();
-        handle_chunk(&shared, id, Some(1), &records);
-        handle_chunk(&shared, id, Some(2), &records);
+        handle_chunk(&shared, id, 1, &records);
+        handle_chunk(&shared, id, 2, &records);
 
         // A client that saw only seq 1 acked resumes behind the
         // journal and learns the authoritative position.
@@ -1106,7 +1060,7 @@ mod tests {
         let shared = test_shared();
         let id = open_session(&shared);
         let records: Vec<_> = (0..8).map(acc).collect();
-        handle_chunk(&shared, id, Some(1), &records);
+        handle_chunk(&shared, id, 1, &records);
         let first = match handle_close(&shared, id) {
             Response::Summary(s) => s,
             other => panic!("{other:?}"),
@@ -1128,7 +1082,7 @@ mod tests {
         let id = open_session(&shared);
         let held = shared.checkout(id).expect("checkout");
         let records: Vec<_> = (0..4).map(acc).collect();
-        match handle_chunk(&shared, id, Some(1), &records) {
+        match handle_chunk(&shared, id, 1, &records) {
             Response::Busy {
                 session,
                 retry_after_ms,
@@ -1151,31 +1105,18 @@ mod tests {
 
     #[test]
     fn chunk_admission_cap_sheds_with_busy() {
-        let mut config = ServerConfig {
+        let shared = Shared::new(ServerConfig {
             event_capacity: 16,
             max_concurrent_chunks: 2,
             ..ServerConfig::default()
-        };
-        config.log = None;
-        let shared = Shared {
-            shutdown: AtomicBool::new(false),
-            table: Mutex::new(Table {
-                next_id: 1,
-                slots: HashMap::new(),
-                recent: VecDeque::new(),
-            }),
-            obs: ServerObs::new(config.log, config.slow_chunk_nanos, config.event_capacity),
-            in_flight_chunks: AtomicUsize::new(0),
-            connections: AtomicUsize::new(0),
-            config,
-        };
+        });
         let id = open_session(&shared);
         // Two permits saturate the cap; the third chunk sheds.
         let _p1 = shared.admit_chunk().expect("permit 1");
         let _p2 = shared.admit_chunk().expect("permit 2");
         let records: Vec<_> = (0..4).map(acc).collect();
         assert!(matches!(
-            handle_chunk(&shared, id, Some(1), &records),
+            handle_chunk(&shared, id, 1, &records),
             Response::Busy { .. }
         ));
         // At half the cap (1 in flight after dropping p2), opens shed
@@ -1190,7 +1131,7 @@ mod tests {
         };
         assert!(matches!(handle_open(&shared, &open), Response::Busy { .. }));
         assert!(matches!(
-            handle_chunk(&shared, id, Some(1), &records),
+            handle_chunk(&shared, id, 1, &records),
             Response::Stats(_)
         ));
         drop(_p1);

@@ -7,84 +7,28 @@
 //! the proxy's fired fatal-fault count, and the server's scraped
 //! `stems_sessions_resumed_total` equals the client's resume count.
 
+mod support;
+
 use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
 use stems_client::{Client, ResilientClient, RetryPolicy};
-use stems_core::protocol::{OpenRequest, SessionSummary};
-use stems_core::{Predictor, Session};
-use stems_memsim::SystemConfig;
+use stems_core::Predictor;
 use stems_server::chaos::{ChaosConfig, ChaosProxy};
-use stems_server::{Server, ServerConfig};
-use stems_trace::store::{TraceReader, TraceWriter};
-use stems_trace::Trace;
-use stems_workloads::Workload;
+use stems_server::ServerConfig;
+use stems_trace::store::TraceReader;
+use support::{local_summary, open_request, sample, store_bytes, test_trace};
 
-/// Small frames so the test trace spans many chunk messages — more
-/// in-flight frames, more fault surface per connection.
-const FRAME: usize = 512;
-
+/// Small frames (`support::FRAME`) so the test trace spans many chunk
+/// messages — more in-flight frames, more fault surface per connection.
 fn start_server() -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
-    let config = ServerConfig {
-        // Bound how long a wedged read can stall the run; every other
-        // knob stays at the production default.
+    // Bound how long a wedged read can stall the run; every other knob
+    // stays at the production default.
+    support::start_server(ServerConfig {
         read_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn test_trace() -> Trace {
-    Workload::Db2.generate_scaled(0.01, 2009)
-}
-
-fn store_bytes(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut w = TraceWriter::new(&mut buf)
-        .expect("writer")
-        .with_frame_capacity(FRAME);
-    for a in trace.iter() {
-        w.push(*a).expect("push");
-    }
-    w.finish().expect("finish");
-    drop(w);
-    buf
-}
-
-fn open_request(predictor: Predictor) -> OpenRequest {
-    OpenRequest {
-        system: SystemConfig::small(),
-        prefetch: stems_core::PrefetchConfig::small(),
-        predictor,
-        invalidations: Some((0.01, 42)),
-    }
-}
-
-/// The fault-free oracle: an in-memory replay of the same store bytes.
-fn local_summary(open: &OpenRequest, bytes: &[u8]) -> SessionSummary {
-    let mut b = Session::builder(&open.system)
-        .prefetch(&open.prefetch)
-        .predictor(open.predictor);
-    if let Some((rate, seed)) = open.invalidations {
-        b = b.invalidations(rate, seed);
-    }
-    let mut session = b.build();
-    let mut reader = TraceReader::new(bytes).expect("reader");
-    let fed = session.replay(&mut reader).expect("replay");
-    let recon = session.recon_stats();
-    let pst_probes = session.pst_probes();
-    let counters = session.finalize();
-    SessionSummary {
-        session: 0,
-        accesses_fed: fed,
-        counters,
-        recon,
-        pst_probes,
-    }
+    })
 }
 
 /// A retry policy tuned for a hostile loopback: fast backoff so the
@@ -103,17 +47,6 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
         read_timeout: Duration::from_secs(2),
         write_timeout: Duration::from_secs(5),
     }
-}
-
-/// Pulls one counter's value out of the metrics text exposition.
-fn scraped(exposition: &str, name: &str) -> u64 {
-    exposition
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .unwrap_or_else(|| panic!("{name} missing from exposition"))
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("{name} value not a u64"))
 }
 
 /// The tentpole acceptance test: full DB2 replay through the fault
@@ -173,12 +106,12 @@ fn chaos_replay_is_byte_identical_and_every_fault_accounted() {
     let mut admin = Client::connect(server_addr).expect("connect direct");
     let reply = admin.metrics(false).expect("scrape");
     assert_eq!(
-        scraped(&reply.exposition, "stems_sessions_resumed_total"),
+        sample(&reply.exposition, "stems_sessions_resumed_total"),
         stats.resumes,
         "server-counted resumes must equal client-counted resumes"
     );
     assert_eq!(
-        scraped(&reply.exposition, "stems_busy_total"),
+        sample(&reply.exposition, "stems_busy_total"),
         stats.busy_retries,
         "every Busy the server sent, the client retried"
     );

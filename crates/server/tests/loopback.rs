@@ -1,50 +1,22 @@
-//! Loopback integration: a real `Server` on an ephemeral port, a real
-//! `Client` over TCP, and the acceptance bar from the service design —
+//! Loopback integration: a real `Server` on an ephemeral port, real
+//! clients over TCP, and the acceptance bar from the service design —
 //! counters streamed back from the server must be **identical** to an
 //! in-memory `Session::replay` of the same persisted trace, for every
 //! predictor, under both golden configurations, including with many
 //! tenant sessions interleaved on one server, and a `Shutdown` drain
 //! must summarize every open session before the daemon exits cleanly.
 
-use std::net::SocketAddr;
+mod support;
+
 use std::thread;
 
 use stems_client::Client;
 use stems_core::protocol::{OpenRequest, SessionSummary};
-use stems_core::{Predictor, PrefetchConfig, Session};
+use stems_core::{Predictor, PrefetchConfig};
 use stems_memsim::{CacheConfig, SystemConfig};
-use stems_server::{Server, ServerConfig};
-use stems_trace::store::{TraceReader, TraceWriter};
-use stems_trace::Trace;
-use stems_workloads::Workload;
-
-/// Records per store frame — small, so even the tiny test trace spans
-/// many chunk messages.
-const FRAME: usize = 512;
-
-fn start_server() -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn test_trace() -> Trace {
-    Workload::Db2.generate_scaled(0.01, 2009)
-}
-
-fn store_bytes(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut w = TraceWriter::new(&mut buf)
-        .expect("writer")
-        .with_frame_capacity(FRAME);
-    for a in trace.iter() {
-        w.push(*a).expect("push");
-    }
-    w.finish().expect("finish");
-    drop(w);
-    buf
-}
+use stems_server::ServerConfig;
+use stems_trace::store::TraceReader;
+use support::{fail_fast, local_summary, start_server, store_bytes, test_trace};
 
 /// The two golden configurations from `engine::sim`: the default small
 /// geometry and the 1KB 2-way L1 / 16KB L2 pressure geometry.
@@ -85,30 +57,6 @@ fn open_request(
     }
 }
 
-/// The in-memory oracle: replay the same store bytes through a local
-/// session and finalize, exactly as the server does.
-fn local_summary(open: &OpenRequest, bytes: &[u8]) -> SessionSummary {
-    let mut b = Session::builder(&open.system)
-        .prefetch(&open.prefetch)
-        .predictor(open.predictor);
-    if let Some((rate, seed)) = open.invalidations {
-        b = b.invalidations(rate, seed);
-    }
-    let mut session = b.build();
-    let mut reader = TraceReader::new(bytes).expect("reader");
-    let fed = session.replay(&mut reader).expect("replay");
-    let recon = session.recon_stats();
-    let pst_probes = session.pst_probes();
-    let counters = session.finalize();
-    SessionSummary {
-        session: 0, // caller compares everything but the id
-        accesses_fed: fed,
-        counters,
-        recon,
-        pst_probes,
-    }
-}
-
 fn assert_summaries_match(remote: &SessionSummary, local: &SessionSummary, what: &str) {
     assert_eq!(
         remote.accesses_fed, local.accesses_fed,
@@ -130,8 +78,8 @@ fn assert_summaries_match(remote: &SessionSummary, local: &SessionSummary, what:
 #[test]
 fn streamed_counters_match_in_memory_replay() {
     let bytes = store_bytes(&test_trace());
-    let (addr, handle) = start_server();
-    let mut client = Client::connect(addr).expect("connect");
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = fail_fast(addr);
     for (config_name, sys, cfg, inval) in golden_configs() {
         for predictor in Predictor::all() {
             let open = open_request(&sys, &cfg, predictor, inval);
@@ -149,7 +97,9 @@ fn streamed_counters_match_in_memory_replay() {
             );
         }
     }
-    assert!(client.shutdown_server().expect("shutdown").is_empty());
+    drop(client);
+    let mut admin = Client::connect(addr).expect("connect");
+    assert!(admin.shutdown_server().expect("shutdown").is_empty());
     handle.join().unwrap().expect("server run");
 }
 
@@ -159,7 +109,7 @@ fn streamed_counters_match_in_memory_replay() {
 #[test]
 fn interleaved_tenant_sessions_stay_isolated() {
     let bytes = store_bytes(&test_trace());
-    let (addr, handle) = start_server();
+    let (addr, handle) = start_server(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     let (_, sys, cfg, inval) = golden_configs().into_iter().next().unwrap();
 
@@ -182,6 +132,7 @@ fn interleaved_tenant_sessions_stay_isolated() {
         .iter()
         .map(|_| TraceReader::new(bytes.as_slice()).expect("reader"))
         .collect();
+    let mut seqs = vec![0u64; ids.len()];
     let mut done = vec![false; ids.len()];
     while !done.iter().all(|d| *d) {
         for (i, reader) in readers.iter_mut().enumerate() {
@@ -190,8 +141,11 @@ fn interleaved_tenant_sessions_stay_isolated() {
             }
             match reader.next_chunk().expect("chunk") {
                 Some(chunk) => {
-                    let chunk = chunk.to_vec();
-                    client.send_chunk(ids[i], &chunk).expect("send_chunk");
+                    seqs[i] += 1;
+                    client
+                        .write_seq_chunk(ids[i], seqs[i], chunk)
+                        .expect("write_seq_chunk");
+                    client.read_stats().expect("read_stats");
                 }
                 None => done[i] = true,
             }
@@ -212,7 +166,7 @@ fn interleaved_tenant_sessions_stay_isolated() {
 #[test]
 fn parallel_connections_stream_concurrently() {
     let bytes = store_bytes(&test_trace());
-    let (addr, handle) = start_server();
+    let (addr, handle) = start_server(ServerConfig::default());
     let (_, sys, cfg, inval) = golden_configs().into_iter().next().unwrap();
     let predictors = [
         Predictor::Stride,
@@ -227,7 +181,7 @@ fn parallel_connections_stream_concurrently() {
                 let bytes = &bytes;
                 let open = open_request(&sys, &cfg, p, inval);
                 s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
+                    let mut client = fail_fast(addr);
                     let session = client.open(&open).expect("open");
                     let mut reader = TraceReader::new(bytes.as_slice()).expect("reader");
                     client.stream(session, &mut reader, 4).expect("stream");
@@ -253,11 +207,11 @@ fn parallel_connections_stream_concurrently() {
 #[test]
 fn shutdown_drains_open_sessions_with_summaries() {
     let bytes = store_bytes(&test_trace());
-    let (addr, handle) = start_server();
+    let (addr, handle) = start_server(ServerConfig::default());
     let (_, sys, cfg, inval) = golden_configs().into_iter().next().unwrap();
 
     // Feed the full store into two sessions but do NOT close them.
-    let mut feeder = Client::connect(addr).expect("connect");
+    let mut feeder = fail_fast(addr);
     let opens = [
         open_request(&sys, &cfg, Predictor::Tms, inval),
         open_request(&sys, &cfg, Predictor::Sms, inval),
@@ -282,5 +236,9 @@ fn shutdown_drains_open_sessions_with_summaries() {
         let local = local_summary(open, &bytes);
         assert_summaries_match(remote, &local, open.predictor.name());
     }
+    // The server joins every connection worker before `run` returns;
+    // closing the feeder's idle connection spares its worker the read
+    // timeout.
+    drop(feeder);
     handle.join().unwrap().expect("server run");
 }

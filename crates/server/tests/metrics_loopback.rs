@@ -5,54 +5,13 @@
 //! disappear with their sessions, and the drained event log must tell
 //! the same story.
 
-use std::net::SocketAddr;
-use std::thread;
+mod support;
 
 use stems_client::Client;
-use stems_core::protocol::OpenRequest;
-use stems_core::{Predictor, PrefetchConfig};
-use stems_memsim::SystemConfig;
-use stems_server::{Server, ServerConfig};
-use stems_trace::store::{TraceReader, TraceWriter};
-use stems_trace::Trace;
-use stems_workloads::Workload;
-
-/// Records per store frame — small, so even the tiny test trace spans
-/// many chunk messages and the chunk counters have something to count.
-const FRAME: usize = 512;
-
-fn start_server() -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn test_trace() -> Trace {
-    Workload::Db2.generate_scaled(0.01, 2009)
-}
-
-fn store_bytes(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut w = TraceWriter::new(&mut buf)
-        .expect("writer")
-        .with_frame_capacity(FRAME);
-    for a in trace.iter() {
-        w.push(*a).expect("push");
-    }
-    w.finish().expect("finish");
-    drop(w);
-    buf
-}
-
-fn open_request(predictor: Predictor) -> OpenRequest {
-    OpenRequest {
-        system: SystemConfig::small(),
-        prefetch: PrefetchConfig::small(),
-        predictor,
-        invalidations: Some((0.01, 42)),
-    }
-}
+use stems_core::Predictor;
+use stems_server::ServerConfig;
+use stems_trace::store::TraceReader;
+use support::{fail_fast, open_request, sample, start_server, store_bytes, test_trace, FRAME};
 
 /// The client-side ground truth: how many chunks and accesses a stream
 /// of this store will feed (one wire chunk per store frame).
@@ -66,20 +25,6 @@ fn client_side_counts(bytes: &[u8]) -> (u64, u64) {
     (chunks, accesses)
 }
 
-/// Extracts the value of the unlabeled sample `name` from a text
-/// exposition (`name value` — exact match, so `name{labels} value`
-/// tenant rows never alias it).
-fn sample(exposition: &str, name: &str) -> u64 {
-    let line = exposition
-        .lines()
-        .find(|l| l.strip_prefix(name).is_some_and(|r| r.starts_with(' ')))
-        .unwrap_or_else(|| panic!("no sample {name:?} in scrape:\n{exposition}"));
-    line[name.len() + 1..]
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("unparseable sample line {line:?}"))
-}
-
 /// The acceptance bar for the observability subsystem: counters scraped
 /// over the wire — from a *separate* monitoring connection — equal the
 /// feeding client's own chunk/access counts exactly, per tenant and
@@ -91,8 +36,8 @@ fn scraped_counters_match_client_side_feed() {
     let (expected_chunks, expected_accesses) = client_side_counts(&bytes);
     assert!(expected_chunks > 1, "test store must span several chunks");
 
-    let (addr, handle) = start_server();
-    let mut feeder = Client::connect(addr).expect("connect feeder");
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut feeder = fail_fast(addr);
     let mut monitor = Client::connect(addr).expect("connect monitor");
 
     let session = feeder.open(&open_request(Predictor::Stems)).expect("open");
@@ -149,6 +94,10 @@ fn scraped_counters_match_client_side_feed() {
     assert!(monitor.metrics(true).expect("rescrape").events.is_empty());
 
     assert!(monitor.shutdown_server().expect("shutdown").is_empty());
+    // The server joins every connection worker before `run` returns;
+    // closing the feeder's idle connection spares its worker the read
+    // timeout.
+    drop(feeder);
     handle.join().unwrap().expect("server run");
 }
 
@@ -161,16 +110,22 @@ fn per_tenant_rows_stay_separate_and_process_totals_sum() {
     let bytes = store_bytes(&trace);
     let (_, expected_accesses) = client_side_counts(&bytes);
 
-    let (addr, handle) = start_server();
+    let (addr, handle) = start_server(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
 
-    // Tenant 1 (STeMS) gets the whole store; tenant 2 (TMS) one chunk.
+    // Tenant 1 (STeMS) gets the whole store, streamed over a connection
+    // of its own; tenant 2 (TMS) one chunk.
     let full = client.open(&open_request(Predictor::Stems)).expect("open");
     let mut reader = TraceReader::new(bytes.as_slice()).expect("reader");
-    let (fed_full, _) = client.stream(full, &mut reader, 4).expect("stream");
+    let (fed_full, _) = fail_fast(addr)
+        .stream(full, &mut reader, 4)
+        .expect("stream");
     let partial = client.open(&open_request(Predictor::Tms)).expect("open");
-    let first: Vec<_> = trace.as_slice()[..FRAME.min(trace.len())].to_vec();
-    client.send_chunk(partial, &first).expect("send_chunk");
+    let first = &trace.as_slice()[..FRAME.min(trace.len())];
+    client
+        .write_seq_chunk(partial, 1, first)
+        .expect("write_seq_chunk");
+    client.read_stats().expect("read_stats");
 
     let scrape = client.metrics(false).expect("scrape");
     let full_row =

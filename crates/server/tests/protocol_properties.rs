@@ -3,15 +3,17 @@
 //! round trip at any chunking, and hostile payloads fed to the typed
 //! message decoders are rejected — never panics, never garbage.
 
+mod support;
+
 use proptest::prelude::*;
 
 use stems_client::Client;
-use stems_core::protocol::{OpenRequest, Request, Response};
-use stems_core::{Predictor, PrefetchConfig, Session};
-use stems_memsim::SystemConfig;
-use stems_server::{Server, ServerConfig};
+use stems_core::protocol::{Request, Response};
+use stems_core::{Predictor, Session};
+use stems_server::ServerConfig;
 use stems_trace::{Access, AccessKind, Dependence, Trace};
 use stems_types::{Addr, Pc};
+use support::{open_request, start_server};
 
 fn access(pc: u64, addr: u64, write: bool, dep: bool, work: u16) -> Access {
     Access {
@@ -31,18 +33,10 @@ fn access(pc: u64, addr: u64, write: bool, dep: bool, work: u16) -> Access {
     }
 }
 
-fn open_request(predictor: Predictor) -> OpenRequest {
-    OpenRequest {
-        system: SystemConfig::small(),
-        prefetch: PrefetchConfig::small(),
-        predictor,
-        invalidations: Some((0.01, 42)),
-    }
-}
-
 /// Pins the worked example in `docs/WIRE_PROTOCOL.md` byte for byte: a
-/// `Chunk` feeding session 7 two reads, whose inner 10 payload bytes
-/// are the trace store spec's frame payload for the same records.
+/// `SeqChunk` feeding session 7 two reads as its first chunk, whose
+/// payload from the count onward is the trace store spec's frame payload
+/// for the same records.
 #[test]
 fn chunk_worked_example_is_byte_exact() {
     let records = [
@@ -51,17 +45,18 @@ fn chunk_worked_example_is_byte_exact() {
     ];
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    stems_core::protocol::encode_chunk(&mut out, &mut scratch, 7, &records);
+    stems_core::protocol::encode_seq_chunk(&mut out, &mut scratch, 7, 1, &records);
     let expected: &[u8] = &[
-        0x02, // kind = Chunk
-        0x0c, 0x00, 0x00, 0x00, // payload_len = 12
+        0x06, // kind = SeqChunk
+        0x0d, 0x00, 0x00, 0x00, // payload_len = 13
         0x07, // session = 7
+        0x01, // seq = 1
         0x02, // count = 2
         0x80, 0x10, 0x08, // pc deltas
         0x80, 0x40, 0x80, 0x01, // addr deltas
         0x00, // flags: two reads, independent
         0x00, 0x00, // work: 0, 0
-        0x50, 0x85, 0x31, 0x81, // CRC-32 (0x81318550) over the 17 bytes above
+        0x80, 0x44, 0x57, 0xd2, // CRC-32 (0xD2574480) over the 18 bytes above
     ];
     assert_eq!(
         out, expected,
@@ -72,14 +67,15 @@ fn chunk_worked_example_is_byte_exact() {
     let (kind, payload, n) = stems_types::wire::decode_message(&out).unwrap();
     assert_eq!(n, out.len());
     match Request::decode(kind, payload).unwrap() {
-        Request::Chunk {
+        Request::SeqChunk {
             session,
+            seq,
             records: decoded,
         } => {
-            assert_eq!(session, 7);
+            assert_eq!((session, seq), (7, 1));
             assert_eq!(decoded, records);
         }
-        other => panic!("expected Chunk, decoded {other:?}"),
+        other => panic!("expected SeqChunk, decoded {other:?}"),
     }
 }
 
@@ -114,13 +110,12 @@ proptest! {
         let expected = local.finalize();
 
         // Remote run, chunked at `chunk` records per message.
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run());
+        let (addr, handle) = start_server(ServerConfig::default());
         let mut client = Client::connect(addr).unwrap();
         let session = client.open(&open).unwrap();
-        for piece in trace.as_slice().chunks(chunk) {
-            let stats = client.send_chunk(session, piece).unwrap();
+        for (i, piece) in trace.as_slice().chunks(chunk).enumerate() {
+            client.write_seq_chunk(session, i as u64 + 1, piece).unwrap();
+            let stats = client.read_stats().unwrap();
             prop_assert_eq!(stats.session, session);
         }
         let summary = client.close(session).unwrap();

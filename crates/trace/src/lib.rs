@@ -13,8 +13,7 @@
 //!
 //! Traces live in one of two places: in memory as a [`Trace`], or on
 //! disk in the chunked, append-only store format ([`store`]) that can
-//! be written incrementally and replayed in O(chunk) memory. The legacy
-//! fixed-width blob codec ([`io`]) is kept for old fixtures. The
+//! be written incrementally and replayed in O(chunk) memory. The
 //! on-disk layout is specified byte-by-byte in `docs/TRACE_FORMAT.md`.
 //!
 //! # Example
@@ -34,12 +33,10 @@
 
 #![deny(missing_docs)]
 
-pub mod io;
 pub mod record;
 pub mod stats;
 pub mod store;
 
-pub use io::{read_trace, write_trace, TraceIoError};
 pub use record::{Access, AccessKind, Dependence};
 pub use stats::TraceStats;
 pub use store::{StoreSummary, SyncPolicy, TraceReader, TraceStoreError, TraceWriter};

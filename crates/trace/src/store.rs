@@ -1,15 +1,11 @@
 //! The persistent trace store: an append-only, chunked on-disk format
 //! with streaming replay.
 //!
-//! The legacy codec in [`crate::io`] writes a global record count up
-//! front and a fixed 24-byte record — fine for small fixtures, but it
-//! cannot be appended to (the count is already written) and it cannot
-//! be replayed without materializing the whole trace. This module is
-//! the scale path: traces are written as a sequence of self-contained
-//! *frames*, each carrying its own record count, a delta/varint-encoded
-//! columnar payload, and a CRC-32 checksum, so a [`TraceWriter`] only
-//! ever appends and a [`TraceReader`] streams the file back one frame
-//! at a time — memory stays O(frame) no matter how many billions of
+//! Traces are written as a sequence of self-contained *frames*, each
+//! carrying its own record count, a delta/varint-encoded columnar
+//! payload, and a CRC-32 checksum, so a [`TraceWriter`] only ever
+//! appends and a [`TraceReader`] streams the file back one frame at a
+//! time — memory stays O(frame) no matter how many billions of
 //! accesses the file holds. The frame is sized for
 //! `Session::run_chunk`: replay feeds each decoded `&[Access]` slice
 //! straight into the engine's batched entry point.
@@ -52,8 +48,7 @@ use stems_types::{Addr, Pc};
 
 use crate::{Access, AccessKind, Dependence, Trace};
 
-/// Store file magic: `STEMSTRC` ("STeMS trace, chunked"). The legacy
-/// single-blob codec uses `STEMSTR1` (see [`crate::io`]).
+/// Store file magic: `STEMSTRC` ("STeMS trace, chunked").
 pub const STORE_MAGIC: &[u8; 8] = b"STEMSTRC";
 /// Current format version. Readers reject any other value.
 pub const STORE_VERSION: u16 = 1;
@@ -84,8 +79,7 @@ pub enum TraceStoreError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// The file does not start with [`STORE_MAGIC`]. The found bytes
-    /// are reported; a legacy [`crate::io`] blob is called out
-    /// explicitly.
+    /// are reported.
     BadMagic {
         /// The eight bytes actually found.
         found: [u8; 8],
@@ -130,13 +124,6 @@ impl std::fmt::Display for TraceStoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceStoreError::Io(e) => write!(f, "trace store i/o error: {e}"),
-            TraceStoreError::BadMagic { found } if found == crate::io::MAGIC => {
-                write!(
-                    f,
-                    "legacy STEMSTR1 trace blob, not a chunked store \
-                     (read it with stems_trace::read_trace)"
-                )
-            }
             TraceStoreError::BadMagic { found } => {
                 write!(f, "not a stems trace store (magic {found:02x?})")
             }
@@ -916,7 +903,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         write_store(&mut buf, &t).unwrap();
-        // Legacy fixed-width: 24 bytes/record. Delta varints: ~4.
+        // A fixed-width record would take 24 bytes. Delta varints: ~4.
         assert!(
             buf.len() < t.len() * 5,
             "sequential trace should encode well under 5 B/record, got {} for {}",

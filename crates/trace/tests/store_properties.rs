@@ -132,20 +132,6 @@ fn bad_magic_is_reported_with_found_bytes() {
 }
 
 #[test]
-fn legacy_blob_magic_gets_a_pointed_message() {
-    // A legacy `write_trace` blob starts with STEMSTR1; the store reader
-    // must name it rather than reporting generic bad magic.
-    let mut legacy = Vec::new();
-    stems_trace::write_trace(&mut legacy, &Trace::new()).unwrap();
-    let err = read_all(&legacy).unwrap_err();
-    assert!(matches!(err, TraceStoreError::BadMagic { .. }));
-    assert!(
-        err.to_string().contains("legacy"),
-        "message should steer to read_trace: {err}"
-    );
-}
-
-#[test]
 fn unsupported_version_is_rejected() {
     let mut bytes = valid_store();
     bytes[8..10].copy_from_slice(&(STORE_VERSION + 1).to_le_bytes());

@@ -54,8 +54,9 @@ use std::io::{Read, Write};
 
 /// Magic bytes opening every connection.
 pub const WIRE_MAGIC: [u8; 8] = *b"STEMSWIR";
-/// Current (and only) protocol version.
-pub const WIRE_VERSION: u16 = 1;
+/// Current (and only) protocol version. Version 2 retired the
+/// unsequenced chunk kind of version 1 (`docs/WIRE_PROTOCOL.md`).
+pub const WIRE_VERSION: u16 = 2;
 /// Size of the hello: magic + version + flags.
 pub const HELLO_BYTES: usize = 12;
 /// Size of a message header: kind + payload length.

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 
-use stems_types::wire::{self, WireError, HELLO_BYTES, MAX_MESSAGE_PAYLOAD, MESSAGE_OVERHEAD};
+use stems_types::wire::{
+    self, WireError, HELLO_BYTES, MAX_MESSAGE_PAYLOAD, MESSAGE_OVERHEAD, WIRE_VERSION,
+};
 
 /// A hello followed by three messages of distinct shapes (empty,
 /// short, multi-hundred-byte) — the corruption target throughout.
@@ -164,12 +166,16 @@ fn bad_hello_fields_are_typed_errors() {
         Err(WireError::BadMagic { got }) if &got == b"STEMSTR1"
     ));
 
-    let mut bad = ok.clone();
-    bad[8..10].copy_from_slice(&2u16.to_le_bytes());
-    assert!(matches!(
-        read_all(&bad),
-        Err(WireError::UnsupportedVersion { got: 2 })
-    ));
+    // Version 1 (the generation with the unsequenced chunk) is refused
+    // at the hello, and so is any version from the future.
+    for version in [1, WIRE_VERSION + 1] {
+        let mut bad = ok.clone();
+        bad[8..10].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            read_all(&bad),
+            Err(WireError::UnsupportedVersion { got }) if got == version
+        ));
+    }
 
     let mut bad = ok.clone();
     bad[10..12].copy_from_slice(&0x8000u16.to_le_bytes());

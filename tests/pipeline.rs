@@ -1,11 +1,11 @@
-//! Cross-crate pipeline tests: generators -> trace I/O -> simulator ->
+//! Cross-crate pipeline tests: generators -> trace store -> simulator ->
 //! analyses, exercised together.
 
 use stems::analysis::{classify, filter_trace, Sequitur};
 use stems::core::engine::{CoverageSim, NullPrefetcher};
 use stems::core::{PrefetchConfig, StemsPrefetcher};
 use stems::memsim::SystemConfig;
-use stems::trace::{read_trace, write_trace};
+use stems::trace::store::{read_store, write_store};
 use stems::workloads::Workload;
 
 #[test]
@@ -13,9 +13,9 @@ fn traces_round_trip_through_binary_io() {
     for w in Workload::all() {
         let trace = w.generate_scaled(0.004, 11);
         let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("write");
-        let back = read_trace(buf.as_slice()).expect("read");
-        assert_eq!(back, trace, "{w}: binary round trip changed the trace");
+        write_store(&mut buf, &trace).expect("write");
+        let back = read_store(buf.as_slice()).expect("read");
+        assert_eq!(back, trace, "{w}: store round trip changed the trace");
     }
 }
 
@@ -23,8 +23,8 @@ fn traces_round_trip_through_binary_io() {
 fn replaying_a_stored_trace_reproduces_counters() {
     let trace = Workload::Qry16.generate_scaled(0.01, 5);
     let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
-    let reloaded = read_trace(buf.as_slice()).unwrap();
+    write_store(&mut buf, &trace).unwrap();
+    let reloaded = read_store(buf.as_slice()).unwrap();
     let sys = SystemConfig::small();
     let cfg = PrefetchConfig::small();
     let a = CoverageSim::new(&sys, &cfg, StemsPrefetcher::new(&cfg)).run(&trace);

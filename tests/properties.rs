@@ -7,7 +7,8 @@ use stems::core::engine::{CoverageSim, NullPrefetcher};
 use stems::core::util::{LruTable, OrderBuffer};
 use stems::core::PrefetchConfig;
 use stems::memsim::{Cache, CacheConfig, SystemConfig};
-use stems::trace::{read_trace, write_trace, Access, AccessKind, Dependence, Trace};
+use stems::trace::store::{read_store, write_store};
+use stems::trace::{Access, AccessKind, Dependence, Trace};
 use stems::types::{Addr, BlockAddr, BlockOffset, Delta, Pc, SpatialSequence};
 
 proptest! {
@@ -19,7 +20,7 @@ proptest! {
         prop_assert!(g.digrams_are_unique());
     }
 
-    /// The binary trace codec is lossless.
+    /// The trace store codec is lossless.
     #[test]
     fn trace_io_round_trips(
         records in proptest::collection::vec(
@@ -38,8 +39,8 @@ proptest! {
             })
             .collect();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        prop_assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
+        write_store(&mut buf, &trace).unwrap();
+        prop_assert_eq!(read_store(buf.as_slice()).unwrap(), trace);
     }
 
     /// A cache never exceeds capacity, and a just-accessed block is
