@@ -76,12 +76,6 @@ impl Svb {
         self.index.contains_key(&block)
     }
 
-    /// Resident blocks owned by `tag` (the fast-reject count behind
-    /// [`Svb::flush_tag`]; exposed for tests and diagnostics).
-    pub fn tag_count(&self, tag: StreamTag) -> usize {
-        self.per_tag[tag.0 as usize] as usize
-    }
-
     /// Inserts a prefetched block; returns the FIFO-evicted victim if the
     /// buffer was full. Inserting a resident block is a no-op.
     pub fn insert(&mut self, block: BlockAddr, tag: StreamTag) -> Option<(BlockAddr, StreamTag)> {

@@ -44,8 +44,8 @@ use std::io::{Read, Write};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_trace::store::{decode_records, encode_records, MAX_FRAME_RECORDS};
 use stems_trace::Access;
-use stems_types::varint;
 use stems_types::wire::{self, WireError};
+use stems_types::{varint, BLOCK_BYTES};
 
 /// Message kind: client opens a session.
 pub const KIND_OPEN: u8 = 0x01;
@@ -91,9 +91,10 @@ pub const KIND_ERROR: u8 = 0x8F;
 /// every other server error, which is authoritative.
 pub const FRAMING_ERROR_PREFIX: &str = "bad frame: ";
 
-/// Upper bound accepted for any table-size field in a decoded config.
-/// A corrupt-but-checksummed open request must not drive a giant
-/// allocation when the session is built.
+/// Upper bound accepted for any table-size field in a decoded config
+/// (a cache's size counts in 64-byte lines). A corrupt-but-checksummed
+/// open request must not drive a giant allocation when the session is
+/// built.
 pub const MAX_CONFIG_ENTRIES: u64 = 1 << 28;
 
 /// Everything a tenant chooses at session-open time.
@@ -272,6 +273,31 @@ fn read_entries(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<u
     Ok(v as usize)
 }
 
+const SYS: &str = "truncated system config";
+
+/// One cache level's geometry, refused unless its size is within
+/// [`MAX_CONFIG_ENTRIES`] lines and it passes
+/// [`CacheConfig::try_num_sets`], so building the session cannot panic.
+fn read_cache(
+    payload: &[u8],
+    pos: &mut usize,
+    size_what: &'static str,
+    geometry_what: &'static str,
+) -> Result<CacheConfig, WireError> {
+    let size_bytes = read_u64(payload, pos, SYS)?;
+    if size_bytes / BLOCK_BYTES > MAX_CONFIG_ENTRIES {
+        return Err(WireError::Corrupt(size_what));
+    }
+    let cache = CacheConfig {
+        size_bytes,
+        associativity: read_entries(payload, pos, SYS)?,
+    };
+    cache
+        .try_num_sets()
+        .map_err(|_| WireError::Corrupt(geometry_what))?;
+    Ok(cache)
+}
+
 fn read_f64(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<f64, WireError> {
     Ok(f64::from_bits(read_u64(payload, pos, what)?))
 }
@@ -367,17 +393,20 @@ fn write_open(out: &mut Vec<u8>, o: &OpenRequest) {
 }
 
 fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> {
-    const SYS: &str = "truncated system config";
     const PF: &str = "truncated prefetch config";
     let system = SystemConfig {
-        l1: CacheConfig {
-            size_bytes: read_u64(payload, pos, SYS)?,
-            associativity: read_entries(payload, pos, SYS)?,
-        },
-        l2: CacheConfig {
-            size_bytes: read_u64(payload, pos, SYS)?,
-            associativity: read_entries(payload, pos, SYS)?,
-        },
+        l1: read_cache(
+            payload,
+            pos,
+            "config field l1.size_bytes out of range",
+            "config field l1 has an invalid cache geometry",
+        )?,
+        l2: read_cache(
+            payload,
+            pos,
+            "config field l2.size_bytes out of range",
+            "config field l2 has an invalid cache geometry",
+        )?,
         clock_ghz: read_f64(payload, pos, SYS)?,
         l1_latency: read_u64(payload, pos, SYS)?,
         l2_latency: read_u64(payload, pos, SYS)?,
@@ -414,6 +443,25 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
         refill_chunk: pf[13],
         spatial_only_streams: flags == 1,
     };
+    // Tables whose structures refuse zero entries at construction, so a
+    // session for any predictor can be built from the config.
+    for (entries, what) in [
+        (prefetch.svb_entries, "config field svb_entries is zero"),
+        (prefetch.stream_queues, "config field stream_queues is zero"),
+        (prefetch.agt_entries, "config field agt_entries is zero"),
+        (prefetch.pht_entries, "config field pht_entries is zero"),
+        (prefetch.pst_entries, "config field pst_entries is zero"),
+        (prefetch.cmob_entries, "config field cmob_entries is zero"),
+        (prefetch.rmob_entries, "config field rmob_entries is zero"),
+        (
+            prefetch.stride_entries,
+            "config field stride_entries is zero",
+        ),
+    ] {
+        if entries == 0 {
+            return Err(WireError::Corrupt(what));
+        }
+    }
     let pidx = *payload
         .get(*pos)
         .ok_or(WireError::Corrupt("truncated predictor"))?;
@@ -861,6 +909,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use stems_types::{Addr, Pc};
 
     fn sample_open() -> OpenRequest {
@@ -1065,27 +1114,91 @@ mod tests {
         ));
     }
 
+    /// The payload of an encoded `Open` for `open`.
+    fn open_payload(open: OpenRequest) -> Vec<u8> {
+        let mut out = Vec::new();
+        Request::Open(Box::new(open)).encode(&mut out, &mut Vec::new());
+        wire::decode_message(&out).unwrap().1.to_vec()
+    }
+
+    /// `payload` with its `field`-th leading varint (the config fields,
+    /// in encoding order) replaced by `value`.
+    fn with_field(payload: &[u8], field: usize, value: u64) -> Vec<u8> {
+        let mut pos = 0;
+        for _ in 0..field {
+            pos += varint::read_u64(&payload[pos..]).unwrap().1;
+        }
+        let mut out = payload[..pos].to_vec();
+        varint::write_u64(&mut out, value);
+        out.extend_from_slice(&payload[pos + varint::read_u64(&payload[pos..]).unwrap().1..]);
+        out
+    }
+
     #[test]
     fn hostile_open_fields_are_rejected() {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        Request::Open(Box::new(sample_open())).encode(&mut out, &mut scratch);
-        let (_, payload, _) = wire::decode_message(&out).unwrap();
-        // Oversize the first config field (l1.size_bytes is a u64, so
-        // tamper with l1.associativity at the second varint).
-        let mut pos = 0usize;
-        varint::read_u64(payload).map(|(_, n)| pos = n).unwrap();
-        let mut bad = payload[..pos].to_vec();
-        varint::write_u64(&mut bad, MAX_CONFIG_ENTRIES + 1);
-        let skip = varint::read_u64(&payload[pos..]).unwrap().1;
-        bad.extend_from_slice(&payload[pos + skip..]);
-        assert!(matches!(
-            Request::decode(KIND_OPEN, &bad),
-            Err(WireError::Corrupt("config field out of range"))
-        ));
+        let payload = open_payload(sample_open());
+        // Field 1 is l1.associativity; field 0 (l1.size_bytes) is bounded
+        // in lines.
+        for (field, value, want) in [
+            (1, MAX_CONFIG_ENTRIES + 1, "config field out of range"),
+            (
+                0,
+                (MAX_CONFIG_ENTRIES + 1) * 64,
+                "config field l1.size_bytes out of range",
+            ),
+        ] {
+            let bad = with_field(&payload, field, value);
+            assert!(matches!(
+                Request::decode(KIND_OPEN, &bad),
+                Err(WireError::Corrupt(got)) if got == want
+            ));
+        }
         // Truncation at every byte boundary is typed, never a panic.
         for cut in 0..payload.len() {
             assert!(Request::decode(KIND_OPEN, &payload[..cut]).is_err());
+        }
+    }
+
+    /// Every config field at 0, and an L1 of 3 sets, 0 ways or
+    /// `u16::MAX` ways, under every predictor: the `Open` is refused as
+    /// `Corrupt`, or it builds a session that runs a chunk without
+    /// panicking.
+    #[test]
+    fn degenerate_open_configs_are_refused_or_run() {
+        // 13 system + 14 prefetch varints; l1 is fields 0 (size_bytes)
+        // and 1 (associativity).
+        const CONFIG_FIELDS: usize = 27;
+        let trace: Vec<Access> = (0..2000u64)
+            .map(|i| Access::read(Pc::new(0x400 + i % 7), Addr::new((i * 7919 % 512) * 64)))
+            .collect();
+        for predictor in Predictor::ALL {
+            let payload = open_payload(OpenRequest {
+                predictor,
+                ..sample_open()
+            });
+            let mut variants: Vec<Vec<u8>> = (0..CONFIG_FIELDS)
+                .map(|field| with_field(&payload, field, 0))
+                .collect();
+            let ways = u16::MAX as u64;
+            variants.push(with_field(&with_field(&payload, 0, 3 * 2 * 64), 1, 2));
+            variants.push(with_field(&with_field(&payload, 0, ways * 64), 1, ways));
+            for (i, bad) in variants.iter().enumerate() {
+                match Request::decode(KIND_OPEN, bad) {
+                    Err(WireError::Corrupt(_)) => {}
+                    Ok(Request::Open(open)) => {
+                        let mut b = Session::builder(&open.system)
+                            .prefetch(&open.prefetch)
+                            .predictor(open.predictor);
+                        if let Some((rate, seed)) = open.invalidations {
+                            b = b.invalidations(rate, seed);
+                        }
+                        let mut session = b.build();
+                        session.run_chunk(&trace);
+                        session.finalize();
+                    }
+                    other => panic!("variant {i} under {predictor:?}: {other:?}"),
+                }
+            }
         }
     }
 

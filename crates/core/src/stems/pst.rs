@@ -34,32 +34,23 @@
 //!   [`Pst::entry_matches`] let the engine's generation-trigger path
 //!   read the predicted pattern *and* stream the stored sequence off one
 //!   probe, where the old surface forced a `lookup` followed by a
-//!   re-probing `peek`;
-//! * **batched region lookups** — [`Pst::lookup_regions`] resolves a
-//!   whole batch of spatial indices in one pass, hashing each candidate
-//!   exactly once and software-prefetching the next candidate's slot
-//!   line while the current one probes. Batched probes deliberately skip
-//!   the recency refresh: the caller applies [`Pst::touch`] when (and
-//!   only when) an entry is actually expanded, which keeps the LRU
-//!   eviction order — and therefore every simulation counter —
-//!   byte-identical to per-expansion [`Pst::lookup`] calls. (Wiring this
-//!   into the Reconstructor's expansion loop measured as an end-to-end
-//!   loss — the engine's `refill_chunk`-sized drains keep batches too
-//!   narrow to amortize the id bookkeeping — so per the house rules the
-//!   expansion path stayed scalar; see
-//!   [`Reconstructor::expand_one`](crate::stems::recon::Reconstructor::expand_one).)
+//!   re-probing `peek`.
 //!
-//! The previous `LruTable`-backed implementation is retained as
-//! [`oracle::LruPst`] and pinned against this one by the property suite
-//! in `tests/pst_differential.rs` (hit/miss results, victim order, arena
-//! accounting), the way PR 5 kept
-//! [`recon::oracle::DequeReconstructor`](crate::stems::recon::oracle).
+//! Every key resolution is scalar: a batched lookup with deferred
+//! recency was measured as an end-to-end loss and removed (see
+//! [`Reconstructor::expand_one`](crate::stems::recon::Reconstructor::expand_one)).
+//!
+//! The previous `LruTable`-backed implementation is kept as the test
+//! oracle `LruPst` in `tests/support/mod.rs` and pinned against this one
+//! by the property suite in `tests/pst_differential.rs` (hit/miss
+//! results, victim order, arena accounting), beside the deque-window
+//! reconstruction oracle.
 
 use stems_types::{fx_hash_u64, SequenceArena, SpatialSequence};
 
 const NIL: u32 = u32::MAX;
 
-/// Sentinel returned by [`Pst::lookup_regions`] for an index with no
+/// Sentinel returned by [`Pst::lookup_id`] for an index with no
 /// resident sequence.
 pub const PST_MISS: u32 = u32::MAX;
 
@@ -135,7 +126,7 @@ pub struct Pst {
     trainings: u64,
     /// Slot-array probes issued (one per key resolved, not per probe
     /// step): the counter behind the `pst_probes_per_access` diagnostic.
-    /// A `Cell` so read-only probes (`peek`, `lookup_regions`) count too.
+    /// A `Cell` so read-only probes (`peek`) count too.
     probes: std::cell::Cell<u64>,
 }
 
@@ -178,18 +169,18 @@ impl Pst {
         (fx_hash_u64(key) >> self.hash_shift) as usize
     }
 
-    /// Linear probe from `slot` (the key's home slot). The loop is
-    /// bounded by the physical size: occupancy never exceeds half the
-    /// slots, so a full wrap — possible only in degenerate tiny tables
-    /// where tombstones briefly fill the rest — still terminates with a
-    /// reusable tombstone in hand.
+    /// Linear probe from `key`'s home slot. The loop is bounded by the
+    /// physical size: occupancy never exceeds half the slots, so a full
+    /// wrap — possible only in degenerate tiny tables where tombstones
+    /// briefly fill the rest — still terminates with a reusable
+    /// tombstone in hand.
     #[inline]
-    fn probe_from(&self, mut slot: usize, key: u64) -> Probe {
+    fn probe(&self, key: u64) -> Probe {
         self.probes.set(self.probes.get() + 1);
+        let mut slot = self.home_slot(key);
         // Deriving the wrap mask from the slice length (physical size is
         // always a power of two) lets the compiler prove `slot & mask`
-        // in-bounds and drop the per-step bounds check — measurable on
-        // the `pst_probe` microbench, where this loop is everything.
+        // in-bounds and drop the per-step bounds check.
         let entries = self.slot_entry.as_slice();
         let mask = entries.len() - 1;
         let mut insert_slot = usize::MAX;
@@ -214,25 +205,6 @@ impl Pst {
         }
         debug_assert_ne!(insert_slot, usize::MAX, "full wrap with no reusable slot");
         Probe::Miss { insert_slot }
-    }
-
-    #[inline]
-    fn probe(&self, key: u64) -> Probe {
-        self.probe_from(self.home_slot(key), key)
-    }
-
-    /// Hints the prefetcher at `slot`'s line of the slot array.
-    #[inline]
-    fn prefetch_slot(&self, slot: usize) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `slot` is masked into `slot_entry`'s bounds; a
-        // prefetch of a valid address has no architectural effect.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.slot_entry.as_ptr().add(slot).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
     }
 
     fn unlink(&mut self, i: u32) {
@@ -263,15 +235,10 @@ impl Pst {
         }
     }
 
-    /// Refreshes entry `id` to most-recently-used — exactly the recency
-    /// effect a [`Pst::lookup`] hit has. Batched callers apply it at
-    /// expansion time so deferred probes leave the LRU order (and the
-    /// eviction-driven counters) identical to per-expansion lookups.
-    ///
-    /// `id` must come from [`Pst::lookup_regions`] with no intervening
-    /// training (training can evict entries and recycle their ids).
+    /// Refreshes live entry `id` to most-recently-used: the recency
+    /// effect of every hit.
     #[inline]
-    pub fn touch(&mut self, id: u32) {
+    fn touch(&mut self, id: u32) {
         debug_assert!(
             (self.slot_of[id as usize] as usize) <= self.slot_mask
                 && self.slot_entry[self.slot_of[id as usize] as usize].id == id,
@@ -284,7 +251,8 @@ impl Pst {
     }
 
     /// The sequence stored under a dense entry id from
-    /// [`Pst::lookup_regions`] (same validity rule as [`Pst::touch`]).
+    /// [`Pst::lookup_id`], valid until the next training (training can
+    /// evict entries and recycle their ids).
     #[inline]
     pub fn sequence_at(&self, id: u32) -> &SpatialSequence {
         &self.values[id as usize]
@@ -338,35 +306,6 @@ impl Pst {
         match self.probe(index) {
             Probe::Hit { id } => Some(&self.values[id as usize]),
             Probe::Miss { .. } => None,
-        }
-    }
-
-    /// Resolves a batch of spatial indices to dense entry ids
-    /// ([`PST_MISS`] where absent), one hash per index, prefetching the
-    /// next candidate's slot line while the current one probes.
-    ///
-    /// No recency is refreshed: the caller applies [`Pst::touch`] per id
-    /// at the moment the old per-expansion [`Pst::lookup`] would have
-    /// run, so LRU state evolves identically. Returned ids stay valid
-    /// only until the next training call — batch within one
-    /// reconstruction drain, never across.
-    pub fn lookup_regions(&self, indices: &[u64], out: &mut Vec<u32>) {
-        out.clear();
-        let Some(&first) = indices.first() else {
-            return;
-        };
-        let mut next_slot = self.home_slot(first);
-        self.prefetch_slot(next_slot);
-        for i in 0..indices.len() {
-            let slot = next_slot;
-            if let Some(&upcoming) = indices.get(i + 1) {
-                next_slot = self.home_slot(upcoming);
-                self.prefetch_slot(next_slot);
-            }
-            out.push(match self.probe_from(slot, indices[i]) {
-                Probe::Hit { id } => id,
-                Probe::Miss { .. } => PST_MISS,
-            });
         }
     }
 
@@ -519,10 +458,10 @@ impl Pst {
         self.trainings
     }
 
-    /// Total key probes issued against the slot array (lookups, peeks,
-    /// trainings, and each batched index), regardless of probe-chain
-    /// length. Divided by simulated accesses this is the
-    /// `pst_probes_per_access` diagnostic the bench harness reports.
+    /// Total key probes issued against the slot array (lookups, peeks
+    /// and trainings), regardless of probe-chain length. Divided by
+    /// simulated accesses this is the `pst_probes_per_access` diagnostic
+    /// the bench harness reports.
     pub fn probes(&self) -> u64 {
         self.probes.get()
     }
@@ -561,108 +500,6 @@ impl Pst {
     #[doc(hidden)]
     pub fn physical_slots(&self) -> usize {
         self.slot_entry.len()
-    }
-}
-
-/// The pre-open-addressing PST, retained verbatim as a differential
-/// oracle: a general-purpose [`LruTable`](crate::util::LruTable) with an
-/// FxHash map index. The property suite in `tests/pst_differential.rs`
-/// (and the `pst_probe` microbench in `crates/bench`) drives identical
-/// train/lookup streams through this and [`Pst`] and requires hit/miss
-/// results, recency/victim order, and arena-buffer accounting to match
-/// exactly. Not part of the public API; hidden rather than
-/// `#[cfg(test)]` only so the benchmark crate can measure it.
-#[doc(hidden)]
-pub mod oracle {
-    use stems_types::{SequenceArena, SpatialSequence};
-
-    use crate::util::{Entry, LruTable};
-
-    /// See [the module docs](self): the retained `LruTable`-backed PST,
-    /// mirroring [`Pst`](super::Pst)'s training and lookup surface.
-    #[derive(Clone, Debug)]
-    pub struct LruPst {
-        table: LruTable<u64, SpatialSequence>,
-        trainings: u64,
-    }
-
-    impl LruPst {
-        /// Mirrors [`Pst::new`](super::Pst::new).
-        pub fn new(entries: usize) -> Self {
-            LruPst {
-                table: LruTable::new(entries),
-                trainings: 0,
-            }
-        }
-
-        /// Mirrors [`Pst::lookup`](super::Pst::lookup).
-        pub fn lookup(&mut self, index: u64) -> Option<&SpatialSequence> {
-            self.table.get(&index).map(|s| &*s)
-        }
-
-        /// Mirrors [`Pst::peek`](super::Pst::peek).
-        pub fn peek(&self, index: u64) -> Option<&SpatialSequence> {
-            self.table.peek(&index)
-        }
-
-        /// Mirrors [`Pst::train`](super::Pst::train).
-        pub fn train(&mut self, index: u64, observed: &SpatialSequence) {
-            if observed.is_empty() {
-                return;
-            }
-            self.trainings += 1;
-            match self.table.entry(index) {
-                Entry::Occupied(mut stored) => stored.get_mut().retrain(observed),
-                Entry::Vacant(slot) => {
-                    slot.insert(observed.clone());
-                }
-            }
-        }
-
-        /// Mirrors [`Pst::train_owned`](super::Pst::train_owned).
-        pub fn train_owned(
-            &mut self,
-            index: u64,
-            observed: SpatialSequence,
-            arena: &mut SequenceArena,
-        ) {
-            if observed.is_empty() {
-                arena.put(observed);
-                return;
-            }
-            self.trainings += 1;
-            match self.table.entry(index) {
-                Entry::Occupied(mut stored) => {
-                    stored.get_mut().retrain_in(&observed, arena);
-                    arena.put(observed);
-                }
-                Entry::Vacant(slot) => {
-                    if let Some((_, victim)) = slot.insert(observed) {
-                        arena.put(victim);
-                    }
-                }
-            }
-        }
-
-        /// Mirrors [`Pst::trainings`](super::Pst::trainings).
-        pub fn trainings(&self) -> u64 {
-            self.trainings
-        }
-
-        /// Mirrors [`Pst::len`](super::Pst::len).
-        pub fn len(&self) -> usize {
-            self.table.len()
-        }
-
-        /// Mirrors [`Pst::is_empty`](super::Pst::is_empty).
-        pub fn is_empty(&self) -> bool {
-            self.table.is_empty()
-        }
-
-        /// Mirrors [`Pst::recency_snapshot`](super::Pst::recency_snapshot).
-        pub fn recency_snapshot(&self) -> Vec<u64> {
-            self.table.iter().map(|(&k, _)| k).collect()
-        }
     }
 }
 
@@ -716,37 +553,6 @@ mod tests {
         pst.train(3, &seq(&[(3, 0)]));
         assert_eq!(pst.len(), 2);
         assert!(pst.peek(1).is_none());
-    }
-
-    #[test]
-    fn batched_lookup_matches_scalar_and_defers_recency() {
-        let mut pst = Pst::new(4);
-        pst.train(10, &seq(&[(1, 0)]));
-        pst.train(20, &seq(&[(2, 0)]));
-        pst.train(30, &seq(&[(3, 0)]));
-        let order_before = pst.recency_snapshot();
-        let mut ids = Vec::new();
-        pst.lookup_regions(&[20, 99, 10, 20], &mut ids);
-        assert_eq!(ids.len(), 4);
-        assert_eq!(ids[1], PST_MISS);
-        assert_eq!(ids[0], ids[3], "same index resolves to the same id");
-        // Batched probing alone must not move anything.
-        assert_eq!(pst.recency_snapshot(), order_before);
-        // Resolved ids read the same sequences peek would.
-        assert_eq!(pst.sequence_at(ids[0]), pst.peek(20).unwrap());
-        assert_eq!(pst.sequence_at(ids[2]), pst.peek(10).unwrap());
-        // Touching in expansion order reproduces lookup's recency walk.
-        let mut shadow = Pst::new(4);
-        shadow.train(10, &seq(&[(1, 0)]));
-        shadow.train(20, &seq(&[(2, 0)]));
-        shadow.train(30, &seq(&[(3, 0)]));
-        for (&index, &id) in [20u64, 99, 10, 20].iter().zip(&ids) {
-            if id != PST_MISS {
-                pst.touch(id);
-            }
-            shadow.lookup(index);
-        }
-        assert_eq!(pst.recency_snapshot(), shadow.recency_snapshot());
     }
 
     #[test]
@@ -805,12 +611,10 @@ mod tests {
         pst.train(1, &seq(&[(1, 0)]));
         pst.lookup(1);
         pst.peek(2);
-        pst.lookup_id(1);
-        let mut ids = Vec::new();
-        pst.lookup_regions(&[1, 2, 3], &mut ids);
+        let id = pst.lookup_id(1);
         // entry_matches is probe-free.
-        assert!(pst.entry_matches(ids[0], 1));
-        assert_eq!(pst.probes() - start, 1 + 1 + 1 + 1 + 3);
+        assert!(pst.entry_matches(id, 1));
+        assert_eq!(pst.probes() - start, 1 + 1 + 1 + 1);
     }
 
     #[test]

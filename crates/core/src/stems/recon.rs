@@ -17,6 +17,9 @@
 //! address sequence and frees space, so reconstruction resumes on demand
 //! when the stream queue runs low — "STeMS resumes reconstruction from
 //! where it left off previously".
+//!
+//! The window is a bitmap ring ([`Reconstructor`]). The deque window it
+//! replaced is kept only as a test oracle, in `tests/support/mod.rs`.
 
 use std::collections::VecDeque;
 
@@ -103,9 +106,9 @@ impl ReconStats {
 /// and a bounds-checked deque index per probe), and draining walks set
 /// bits a word at a time instead of popping empty slots one by one.
 /// Behavior is pinned exactly — placement slots, [`ReconStats`], and drain
-/// order — against the retained deque implementation
-/// ([`oracle::DequeReconstructor`]) by differential tests below and the
-/// property suite in `tests/recon_differential.rs`.
+/// order — against the retained deque implementation, the test oracle
+/// `DequeReconstructor` in `tests/support/mod.rs`, by the differential
+/// suite in `tests/recon_differential.rs`.
 #[derive(Clone, Debug)]
 pub struct Reconstructor {
     /// Predicted block per physical ring slot; validity is governed by
@@ -287,15 +290,14 @@ impl Reconstructor {
     /// index (suppressing redundant spatial-only streams, Section 4.2).
     ///
     /// The PST consult here is deliberately a *scalar* [`Pst::lookup`].
-    /// Resolving upcoming expansions in one [`Pst::lookup_regions`] batch
-    /// (with the recency touch deferred to expansion time) was built and
-    /// measured for PR 6, and lost end-to-end: the engine drains streams
-    /// in `refill_chunk`-sized nibbles (4 addresses ≈ 1–3 expansions), so
+    /// Resolving upcoming expansions in one batched PST lookup (with the
+    /// recency touch deferred to expansion time) was built and measured,
+    /// and lost end-to-end: the engine drains streams in
+    /// `refill_chunk`-sized nibbles (4 addresses ≈ 1–3 expansions), so
     /// batches stayed too narrow for the probe pipelining to pay for the
     /// id-cache bookkeeping — even with the batch width ramping 1→8
     /// within a drain. Per the house rules that measured pessimization
-    /// was reverted, not shipped; the batch API remains on [`Pst`] for
-    /// wider-drain callers and is pinned by the differential suite.
+    /// was reverted, not shipped.
     pub fn expand_one(
         &mut self,
         rmob: &OrderBuffer<RmobEntry>,
@@ -516,219 +518,6 @@ impl ReconPool {
             self.deques.push(deque);
         }
     }
-
-    /// Spare allocations currently pooled (diagnostics).
-    pub fn spares(&self) -> (usize, usize) {
-        (self.recons.len(), self.deques.len())
-    }
-}
-
-/// The pre-bitmap reconstruction window, retained verbatim as a
-/// differential oracle: a `VecDeque<Option<BlockAddr>>` window with lazy
-/// `push_back(None)` materialization and per-slot probing. The unit and
-/// property differential suites (and the `recon_placement` microbench in
-/// `crates/bench`) drive identical RMOB/PST streams through this and the
-/// bitmap ring and require placement slots, [`ReconStats`], window
-/// contents, and drain order to match exactly. Not part of the public
-/// API; hidden rather than `#[cfg(test)]` only so the benchmark crate can
-/// measure it.
-#[doc(hidden)]
-pub mod oracle {
-    use super::*;
-
-    /// See [the module docs](self): the retained deque-window
-    /// reconstruction engine, mirroring [`Reconstructor`]'s API.
-    #[derive(Clone, Debug)]
-    pub struct DequeReconstructor {
-        slots: VecDeque<Option<BlockAddr>>,
-        base: u64,
-        horizon: u64,
-        next_rmob: u64,
-        capacity: usize,
-        search: usize,
-        primed: bool,
-        exhausted: bool,
-        predicted_scratch: Vec<(u8, u8)>,
-        /// Placement statistics for this reconstruction.
-        pub stats: ReconStats,
-    }
-
-    impl DequeReconstructor {
-        /// Mirrors [`Reconstructor::new`].
-        pub fn new(rmob_pos: u64, capacity: usize, search: usize) -> Self {
-            DequeReconstructor {
-                slots: VecDeque::with_capacity(capacity.min(256)),
-                base: 0,
-                horizon: 0,
-                next_rmob: rmob_pos,
-                capacity,
-                search,
-                primed: false,
-                exhausted: false,
-                predicted_scratch: Vec::new(),
-                stats: ReconStats::default(),
-            }
-        }
-
-        fn slot_at(&mut self, abs: u64) -> Option<&mut Option<BlockAddr>> {
-            if abs < self.base {
-                return None; // already drained past
-            }
-            let rel = (abs - self.base) as usize;
-            if rel >= self.capacity {
-                return None; // beyond the window
-            }
-            while self.slots.len() <= rel {
-                self.slots.push_back(None);
-            }
-            Some(&mut self.slots[rel])
-        }
-
-        fn place(&mut self, abs: u64, block: BlockAddr) -> Option<u64> {
-            if abs >= self.base + self.capacity as u64 {
-                self.stats.dropped_window += 1;
-                return None;
-            }
-            if self.try_place(abs, block) {
-                self.stats.exact += 1;
-                return Some(abs);
-            }
-            for d in 1..=self.search as u64 {
-                if self.try_place(abs + d, block) {
-                    self.bump_shifted(d);
-                    return Some(abs + d);
-                }
-                if abs >= self.base + d && self.try_place(abs - d, block) {
-                    self.bump_shifted(d);
-                    return Some(abs - d);
-                }
-            }
-            self.stats.dropped_conflict += 1;
-            None
-        }
-
-        fn try_place(&mut self, candidate: u64, block: BlockAddr) -> bool {
-            match self.slot_at(candidate) {
-                Some(slot @ None) => {
-                    *slot = Some(block);
-                    true
-                }
-                _ => false,
-            }
-        }
-
-        fn bump_shifted(&mut self, dist: u64) {
-            if dist == 1 {
-                self.stats.shifted1 += 1;
-            } else {
-                self.stats.shifted2 += 1;
-            }
-        }
-
-        /// Mirrors [`Reconstructor::expand_one`].
-        pub fn expand_one(
-            &mut self,
-            rmob: &OrderBuffer<RmobEntry>,
-            pst: &mut Pst,
-            mut predicted_region: impl FnMut(stems_types::RegionAddr, u64),
-        ) -> bool {
-            let Some(entry) = rmob.get(self.next_rmob).copied() else {
-                return false;
-            };
-            let trigger_slot = if !self.primed {
-                self.primed = true;
-                if let Some(slot) = self.slot_at(0) {
-                    *slot = Some(entry.block);
-                }
-                Some(0)
-            } else {
-                let target = self.horizon + entry.delta.get() as u64 + 1;
-                if target >= self.base + self.capacity as u64 {
-                    return false;
-                }
-                self.horizon = target;
-                self.place(target, entry.block)
-            };
-            let anchor = match trigger_slot {
-                Some(s) => s,
-                None => self.horizon,
-            };
-            let region = entry.block.region();
-            let index = spatial_index(entry.pc, entry.block.offset_in_region());
-            self.predicted_scratch.clear();
-            if let Some(seq) = pst.lookup(index) {
-                self.predicted_scratch
-                    .extend(seq.predicted().map(|e| (e.offset.get(), e.delta.get())));
-            }
-            if !self.predicted_scratch.is_empty() {
-                predicted_region(region, index);
-                let mut prev = anchor;
-                for i in 0..self.predicted_scratch.len() {
-                    let (offset, delta) = self.predicted_scratch[i];
-                    let target = prev + delta as u64 + 1;
-                    let off = stems_types::BlockOffset::new(offset);
-                    match self.place(target, region.block_at(off)) {
-                        Some(slot) => prev = slot,
-                        None => prev = target.min(self.base + self.capacity as u64 - 1),
-                    }
-                }
-            }
-            self.next_rmob += 1;
-            true
-        }
-
-        /// Mirrors [`Reconstructor::produce_into`].
-        pub fn produce_into(
-            &mut self,
-            n: usize,
-            rmob: &OrderBuffer<RmobEntry>,
-            pst: &mut Pst,
-            mut predicted_region: impl FnMut(stems_types::RegionAddr, u64),
-            out: &mut VecDeque<BlockAddr>,
-        ) -> usize {
-            let mut appended = 0;
-            while appended < n {
-                let safe_frontier = self.base + 2 * self.search as u64 + 1;
-                if !self.exhausted && self.horizon < safe_frontier {
-                    if !self.expand_one(rmob, pst, &mut predicted_region) {
-                        self.exhausted = true;
-                    }
-                    continue;
-                }
-                match self.slots.pop_front() {
-                    Some(opt) => {
-                        self.base += 1;
-                        if let Some(block) = opt {
-                            out.push_back(block);
-                            appended += 1;
-                        }
-                    }
-                    None => {
-                        if self.exhausted || !self.expand_one(rmob, pst, &mut predicted_region) {
-                            break;
-                        }
-                    }
-                }
-            }
-            appended
-        }
-
-        /// Mirrors [`Reconstructor::window_snapshot`].
-        pub fn window_snapshot(&self) -> Vec<Option<BlockAddr>> {
-            self.slots.iter().copied().collect()
-        }
-
-        /// Mirrors [`Reconstructor::cursor_state`].
-        pub fn cursor_state(&self) -> (u64, u64, u64, bool, bool) {
-            (
-                self.base,
-                self.horizon,
-                self.next_rmob,
-                self.primed,
-                self.exhausted,
-            )
-        }
-    }
 }
 
 #[cfg(test)]
@@ -867,89 +656,6 @@ mod tests {
         let mut r = Reconstructor::new(0, 64, 2);
         r.produce(4, &rmob, &mut pst, |region, i| seen.push((region, i)));
         assert_eq!(seen, vec![(RegionAddr::new(0xA), idx)]);
-    }
-
-    /// Drives random RMOB/PST streams through the bitmap ring and the
-    /// retained deque oracle in lockstep: window contents, cursor state,
-    /// ReconStats, and drain order must match exactly after every
-    /// expansion and every drain chunk.
-    #[test]
-    fn bitmap_ring_matches_deque_oracle_under_random_streams() {
-        use crate::util::XorShift64;
-        use oracle::DequeReconstructor;
-
-        for seed in 0..24u64 {
-            let mut rng = XorShift64::new(0x2ECC ^ seed);
-            let search = (seed % 5) as usize; // search distances 0..=4
-            let capacity = [2usize, 7, 64, 256][(seed % 4) as usize];
-            // Random temporal skeleton over a few regions with clustered
-            // PCs so PST lookups fire often.
-            let mut rmob: OrderBuffer<RmobEntry> = OrderBuffer::new(512);
-            for _ in 0..200 {
-                rmob.append(entry(
-                    rng.below(24),
-                    rng.below(32) as u8,
-                    1 + rng.below(6),
-                    rng.below(5) as u8,
-                ));
-            }
-            // Random spatial sequences, trained twice so elements predict.
-            let mut pst_new = Pst::new(32);
-            let mut pst_old = Pst::new(32);
-            for _ in 0..40 {
-                let pc = 1 + rng.below(6);
-                let off = rng.below(32) as u8;
-                let len = 1 + rng.below(4) as usize;
-                let s: Vec<(u8, u8)> = (0..len)
-                    .map(|_| (rng.below(32) as u8, rng.below(4) as u8))
-                    .collect();
-                for _ in 0..2 {
-                    pst_new.train(spatial_index(Pc::new(pc), BlockOffset::new(off)), &seq(&s));
-                    pst_old.train(spatial_index(Pc::new(pc), BlockOffset::new(off)), &seq(&s));
-                }
-            }
-            let start = rng.below(64);
-            let mut ring = Reconstructor::new(start, capacity, search);
-            let mut deque = DequeReconstructor::new(start, capacity, search);
-            let mut ring_out = std::collections::VecDeque::new();
-            let mut deque_out = std::collections::VecDeque::new();
-            let mut ring_regions = Vec::new();
-            let mut deque_regions = Vec::new();
-            for round in 0..120u32 {
-                let n = 1 + rng.below(7) as usize;
-                let a = ring.produce_into(
-                    n,
-                    &rmob,
-                    &mut pst_new,
-                    |r, i| ring_regions.push((r, i)),
-                    &mut ring_out,
-                );
-                let b = deque.produce_into(
-                    n,
-                    &rmob,
-                    &mut pst_old,
-                    |r, i| deque_regions.push((r, i)),
-                    &mut deque_out,
-                );
-                let ctx = format!("seed {seed} round {round} (cap {capacity} search {search})");
-                assert_eq!(a, b, "appended count diverged: {ctx}");
-                assert_eq!(ring_out, deque_out, "drain order diverged: {ctx}");
-                assert_eq!(ring.stats, deque.stats, "stats diverged: {ctx}");
-                assert_eq!(
-                    ring.cursor_state(),
-                    deque.cursor_state(),
-                    "cursor state diverged: {ctx}"
-                );
-                assert_eq!(
-                    ring.window_snapshot(),
-                    deque.window_snapshot(),
-                    "window contents (placement slots) diverged: {ctx}"
-                );
-                if a == 0 {
-                    break;
-                }
-            }
-        }
     }
 
     /// A recycled (reset) bitmap reconstructor must behave exactly like a

@@ -1,16 +1,19 @@
 //! Property-based differential suite for the open-addressed PST (PR 6):
 //! random train/train_owned/lookup/peek sequences driven through the
-//! open-addressed `Pst` and the retained `LruTable`-backed
-//! `pst::oracle::LruPst` must agree exactly — hit/miss results, stored
-//! sequence contents, recency order (and therefore victim choice, the
-//! suffix of that order), training counts, and `SequenceArena` buffer
-//! accounting — at capacities from degenerate (1) through a grown
+//! open-addressed `Pst` and the retained `LruTable`-backed `LruPst`
+//! oracle (`support/mod.rs`) must agree exactly — hit/miss results,
+//! stored sequence contents, recency order (and therefore victim choice,
+//! the suffix of that order), training counts, and `SequenceArena`
+//! buffer accounting — at capacities from degenerate (1) through a grown
 //! multi-rebuild table (300).
+
+mod support;
 
 use proptest::prelude::*;
 
-use stems_core::stems::pst::{oracle::LruPst, Pst, PST_MISS};
+use stems_core::stems::pst::{Pst, PST_MISS};
 use stems_types::{BlockOffset, Delta, SequenceArena, SpatialSequence};
+use support::LruPst;
 
 fn sequence(items: &[(u8, u8)]) -> SpatialSequence {
     items
@@ -147,54 +150,5 @@ proptest! {
         let mut new_arena = SequenceArena::new();
         let mut old_arena = SequenceArena::new();
         apply_lockstep(&ops, &mut new_pst, &mut old_pst, &mut new_arena, &mut old_arena)?;
-    }
-
-    /// Batched resolution equals scalar: `lookup_regions` over a random
-    /// index batch must report exactly the hits `peek` reports, resolve
-    /// them to the sequences `peek` returns, move no recency by itself,
-    /// and — once each hit is `touch`ed in batch order — leave the
-    /// recency list exactly where per-index `lookup` calls on the oracle
-    /// leave it.
-    #[test]
-    fn batched_lookup_regions_equals_scalar_lookups(
-        capacity_pick in 0usize..4,
-        ops in proptest::collection::vec(
-            (0u8..2, 0u64..24, proptest::collection::vec((0u8..32, 0u8..4), 0..4)),
-            0..80),
-        batch in proptest::collection::vec(0u64..24, 1..12),
-    ) {
-        let capacity = [1usize, 2, 5, 64][capacity_pick];
-        let mut new_pst = Pst::new(capacity);
-        let mut old_pst = LruPst::new(capacity);
-        let mut new_arena = SequenceArena::new();
-        let mut old_arena = SequenceArena::new();
-        // Random training prefix (train/train_owned only) to populate.
-        apply_lockstep(&ops, &mut new_pst, &mut old_pst, &mut new_arena, &mut old_arena)?;
-
-        let before = new_pst.recency_snapshot();
-        let mut ids = Vec::new();
-        new_pst.lookup_regions(&batch, &mut ids);
-        prop_assert_eq!(ids.len(), batch.len());
-        // Probing alone moves nothing.
-        prop_assert_eq!(new_pst.recency_snapshot(), before);
-        for (&key, &id) in batch.iter().zip(&ids) {
-            if id == PST_MISS {
-                prop_assert!(old_pst.peek(key).is_none(), "batched miss was a hit: {}", key);
-            } else {
-                prop_assert_eq!(
-                    Some(new_pst.sequence_at(id)),
-                    old_pst.peek(key),
-                    "batched sequence diverged for key {}", key
-                );
-            }
-        }
-        // Deferred touches replay the scalar recency walk.
-        for (&key, &id) in batch.iter().zip(&ids) {
-            if id != PST_MISS {
-                new_pst.touch(id);
-            }
-            old_pst.lookup(key);
-        }
-        prop_assert_eq!(new_pst.recency_snapshot(), old_pst.recency_snapshot());
     }
 }

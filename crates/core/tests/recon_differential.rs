@@ -1,19 +1,22 @@
 //! Property-based differential suite for the bitmap reconstruction
 //! window (PR 5): random RMOB/PST streams driven through the flat
 //! power-of-two occupancy-bitmap ring (`Reconstructor`) and the retained
-//! deque implementation (`oracle::DequeReconstructor`) must agree
-//! exactly — placement slots (via window snapshots), `ReconStats`
-//! counters, cursor state, and drain order — across the whole supported
-//! search-distance range 0–4.
+//! deque implementation (the `DequeReconstructor` oracle in
+//! `support/mod.rs`) must agree exactly — placement slots (via window
+//! snapshots), `ReconStats` counters, cursor state, and drain order —
+//! across the whole supported search-distance range 0–4.
+
+mod support;
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use stems_core::sms::spatial_index;
-use stems_core::stems::recon::oracle::DequeReconstructor;
 use stems_core::stems::{Pst, Reconstructor, Rmob, RmobEntry};
+use stems_core::util::XorShift64;
 use stems_types::{BlockOffset, Delta, Pc, RegionAddr, SpatialSequence};
+use support::DequeReconstructor;
 
 fn rmob_entry(region: u64, offset: u8, pc: u64, delta: u8) -> RmobEntry {
     RmobEntry {
@@ -127,6 +130,87 @@ proptest! {
                 ring.window_snapshot(), deque.window_snapshot(),
                 "placement slots diverged at step {}", step);
             if !a {
+                break;
+            }
+        }
+    }
+}
+
+/// Drives random RMOB/PST streams through the bitmap ring and the
+/// retained deque oracle in lockstep: window contents, cursor state,
+/// ReconStats, and drain order must match exactly after every
+/// expansion and every drain chunk.
+#[test]
+fn bitmap_ring_matches_deque_oracle_under_random_streams() {
+    for seed in 0..24u64 {
+        let mut rng = XorShift64::new(0x2ECC ^ seed);
+        let search = (seed % 5) as usize; // search distances 0..=4
+        let capacity = [2usize, 7, 64, 256][(seed % 4) as usize];
+        // Random temporal skeleton over a few regions with clustered
+        // PCs so PST lookups fire often.
+        let mut rmob = Rmob::new(512);
+        for _ in 0..200 {
+            rmob.append(rmob_entry(
+                rng.below(24),
+                rng.below(32) as u8,
+                1 + rng.below(6),
+                rng.below(5) as u8,
+            ));
+        }
+        // Random spatial sequences, trained twice so elements predict.
+        let mut pst_new = Pst::new(32);
+        let mut pst_old = Pst::new(32);
+        for _ in 0..40 {
+            let pc = 1 + rng.below(6);
+            let off = rng.below(32) as u8;
+            let len = 1 + rng.below(4) as usize;
+            let s: Vec<(u8, u8)> = (0..len)
+                .map(|_| (rng.below(32) as u8, rng.below(4) as u8))
+                .collect();
+            let index = spatial_index(Pc::new(pc), BlockOffset::new(off));
+            for _ in 0..2 {
+                pst_new.train(index, &sequence(&s));
+                pst_old.train(index, &sequence(&s));
+            }
+        }
+        let start = rng.below(64);
+        let mut ring = Reconstructor::new(start, capacity, search);
+        let mut deque = DequeReconstructor::new(start, capacity, search);
+        let mut ring_out = VecDeque::new();
+        let mut deque_out = VecDeque::new();
+        let mut ring_regions = Vec::new();
+        let mut deque_regions = Vec::new();
+        for round in 0..120u32 {
+            let n = 1 + rng.below(7) as usize;
+            let a = ring.produce_into(
+                n,
+                &rmob,
+                &mut pst_new,
+                |r, i| ring_regions.push((r, i)),
+                &mut ring_out,
+            );
+            let b = deque.produce_into(
+                n,
+                &rmob,
+                &mut pst_old,
+                |r, i| deque_regions.push((r, i)),
+                &mut deque_out,
+            );
+            let ctx = format!("seed {seed} round {round} (cap {capacity} search {search})");
+            assert_eq!(a, b, "appended count diverged: {ctx}");
+            assert_eq!(ring_out, deque_out, "drain order diverged: {ctx}");
+            assert_eq!(ring.stats, deque.stats, "stats diverged: {ctx}");
+            assert_eq!(
+                ring.cursor_state(),
+                deque.cursor_state(),
+                "cursor state diverged: {ctx}"
+            );
+            assert_eq!(
+                ring.window_snapshot(),
+                deque.window_snapshot(),
+                "window contents (placement slots) diverged: {ctx}"
+            );
+            if a == 0 {
                 break;
             }
         }

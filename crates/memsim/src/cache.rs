@@ -37,7 +37,7 @@ pub struct MissedSet {
 }
 
 /// Recency rank marking an unoccupied way. Real ranks are `0..assoc`,
-/// so `new` asserts `assoc < u16::MAX`.
+/// and [`CacheConfig::try_num_sets`] bounds `assoc` below `u16::MAX`.
 const FREE_WAY: u16 = u16::MAX;
 
 /// Block value stored in unoccupied ways. No demand access can name it:
@@ -88,14 +88,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (see [`CacheConfig::num_sets`])
-    /// or the associativity exceeds the `u16` rank range.
+    /// Panics if the geometry is invalid (see
+    /// [`CacheConfig::try_num_sets`]).
     pub fn new(config: &CacheConfig) -> Self {
         let num_sets = config.num_sets();
-        assert!(
-            config.associativity < FREE_WAY as usize,
-            "associativity exceeds rank range"
-        );
         let ways = num_sets * config.associativity;
         Cache {
             blocks: vec![SENTINEL_BLOCK; ways].into_boxed_slice(),

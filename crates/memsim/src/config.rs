@@ -17,15 +17,32 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways or fewer than one
-    /// set) or the set count is not a power of two.
+    /// Panics with the reason [`CacheConfig::try_num_sets`] gives when
+    /// the geometry is invalid.
     pub fn num_sets(&self) -> usize {
-        assert!(self.associativity > 0, "associativity must be nonzero");
-        let lines = self.size_bytes / BLOCK_BYTES;
-        let sets = lines as usize / self.associativity;
-        assert!(sets > 0, "cache must have at least one set");
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        self.try_num_sets()
+            .unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// The geometry rule every [`Cache`](crate::Cache) is built under:
+    /// at least one way and fewer than `u16::MAX` (the recency-rank
+    /// range), and a nonzero power-of-two number of sets. Returns the
+    /// set count, or why the geometry is invalid.
+    pub fn try_num_sets(&self) -> Result<usize, &'static str> {
+        if self.associativity == 0 {
+            return Err("associativity must be nonzero");
+        }
+        if self.associativity >= u16::MAX as usize {
+            return Err("associativity exceeds rank range");
+        }
+        let sets = (self.size_bytes / BLOCK_BYTES) as usize / self.associativity;
+        if sets == 0 {
+            return Err("cache must have at least one set");
+        }
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(sets)
     }
 }
 
@@ -143,6 +160,30 @@ mod tests {
         let c = SystemConfig::default();
         let lat = c.off_chip_latency_cycles(2);
         assert!((300..=800).contains(&lat), "latency {lat} out of regime");
+    }
+
+    #[test]
+    fn geometry_rule_names_each_violation() {
+        let geometry = |size_bytes, associativity| {
+            CacheConfig {
+                size_bytes,
+                associativity,
+            }
+            .try_num_sets()
+        };
+        assert_eq!(geometry(4096, 2), Ok(32));
+        assert_eq!(geometry(4096, 0), Err("associativity must be nonzero"));
+        let max = u16::MAX as usize;
+        assert_eq!(geometry(1 << 30, max - 1), Ok(1 << 8));
+        assert_eq!(
+            geometry(1 << 30, max),
+            Err("associativity exceeds rank range")
+        );
+        assert_eq!(geometry(64, 2), Err("cache must have at least one set"));
+        assert_eq!(
+            geometry(3 * 2 * 64, 2),
+            Err("set count must be a power of two")
+        );
     }
 
     #[test]

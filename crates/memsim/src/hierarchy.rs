@@ -4,6 +4,10 @@
 //! and an L2 eviction back-invalidates the L1 copy. L1 evictions (demand,
 //! inclusion, or coherence) are reported because they terminate spatial
 //! generations (Section 2.4).
+//!
+//! Every demand access resolves through one single-pass
+//! [`Hierarchy::probe`]. The scalar two-call path it replaced lives on
+//! only as the two-[`Cache`] reference in `tests/probe_differential.rs`.
 
 use stems_types::BlockAddr;
 
@@ -88,10 +92,10 @@ impl Hierarchy {
     /// access. Evicted L1 blocks (demand or inclusion victims) are
     /// appended to `l1_evicted`.
     ///
-    /// Behavior is pinned byte-identical to the retained scalar pair
-    /// [`Hierarchy::access_l1_hit`] + [`Hierarchy::access_after_l1_miss`]
-    /// (or + [`Hierarchy::fill_into`] when `svb_take` fires) by the
-    /// differential-oracle property tests in `tests/probe_differential.rs`.
+    /// Behavior is pinned byte-identical to a scalar reference built
+    /// from two plain [`Cache`]s (an L1 hit check, then a miss fill or a
+    /// prefetch fill) by the differential property tests in
+    /// `tests/probe_differential.rs`.
     #[inline]
     pub fn probe(
         &mut self,
@@ -160,53 +164,10 @@ impl Hierarchy {
         }
     }
 
-    /// The L1-hit half of [`Hierarchy::access`]: one set scan, counting
-    /// the hit and refreshing recency on success, side-effect-free on
-    /// miss. Pair with [`Hierarchy::access_after_l1_miss`].
-    pub fn access_l1_hit(&mut self, block: BlockAddr, is_write: bool) -> bool {
-        self.l1.access_hit(block, is_write)
-    }
-
-    /// Completes a demand access whose L1 probe already missed,
-    /// appending evicted L1 blocks to `l1_evicted` instead of
-    /// allocating. Returns the satisfying level (never [`Level::L1`]).
-    pub fn access_after_l1_miss(
-        &mut self,
-        block: BlockAddr,
-        is_write: bool,
-        l1_evicted: &mut Vec<BlockAddr>,
-    ) -> Level {
-        if let Some(e) = self.l1.miss_fill(block, is_write) {
-            l1_evicted.push(e.block);
-        }
-        let l2 = self.l2.access(block, is_write);
-        if let Some(e) = l2.evicted {
-            // Inclusive hierarchy: an L2 victim may not stay in L1.
-            if self.l1.invalidate(e.block) {
-                l1_evicted.push(e.block);
-            }
-        }
-        if l2.hit {
-            Level::L2
-        } else {
-            Level::Memory
-        }
-    }
-
     /// Installs `block` into both levels without counting demand traffic
-    /// (prefetch fill or streamed-value-buffer consumption).
-    ///
-    /// Returns the blocks removed from the L1 (demand eviction plus any
-    /// inclusion-driven back-invalidation), as [`Hierarchy::access`] does.
-    pub fn fill(&mut self, block: BlockAddr) -> Vec<BlockAddr> {
-        let mut l1_evicted = Vec::new();
-        self.fill_into(block, &mut l1_evicted);
-        l1_evicted
-    }
-
-    /// Like [`Hierarchy::fill`], but appends evicted L1 blocks to a
-    /// caller-provided buffer instead of allocating (the per-fill path of
-    /// every prefetch once the caches are warm).
+    /// (prefetch fill or streamed-value-buffer consumption), appending
+    /// the blocks removed from the L1 (demand eviction plus any
+    /// inclusion-driven back-invalidation) to `l1_evicted`.
     pub fn fill_into(&mut self, block: BlockAddr, l1_evicted: &mut Vec<BlockAddr>) {
         if let Some(e) = self.l1.fill(block) {
             l1_evicted.push(e.block);
@@ -334,7 +295,8 @@ mod tests {
     fn fill_installs_without_demand_counters() {
         let mut h = small();
         let b = BlockAddr::new(123);
-        let evicted = h.fill(b);
+        let mut evicted = Vec::new();
+        h.fill_into(b, &mut evicted);
         assert!(evicted.is_empty());
         assert!(h.in_l1(b));
         assert!(h.in_l2(b));
@@ -379,36 +341,6 @@ mod tests {
         assert_eq!(asked, 1);
         assert_eq!(h.l1_misses(), 1);
         assert_eq!(h.l2_misses(), 1);
-    }
-
-    #[test]
-    fn probe_matches_scalar_access_on_levels() {
-        let mut probe_h = small();
-        let mut scalar_h = small();
-        // A short conflict-heavy mix: every level outcome occurs.
-        let blocks = [77u64, 77, 109, 141, 77, 9, 77, 141];
-        for (i, &raw) in blocks.iter().enumerate() {
-            let b = BlockAddr::new(raw);
-            let is_write = i % 3 == 2;
-            let mut evicted = Vec::new();
-            let level = probe_h.probe(b, is_write, || false, &mut evicted);
-            // Scalar oracle: drive the retained two-call path explicitly
-            // (access() itself is a wrapper over probe now).
-            let mut scalar_evicted = Vec::new();
-            let want = if scalar_h.access_l1_hit(b, is_write) {
-                ProbeLevel::L1
-            } else {
-                match scalar_h.access_after_l1_miss(b, is_write, &mut scalar_evicted) {
-                    Level::L2 => ProbeLevel::L2,
-                    Level::Memory => ProbeLevel::Memory,
-                    Level::L1 => unreachable!(),
-                }
-            };
-            assert_eq!(level, want, "step {i}");
-            assert_eq!(evicted, scalar_evicted, "step {i}");
-        }
-        assert_eq!(probe_h.l1_misses(), scalar_h.l1_misses());
-        assert_eq!(probe_h.l2_misses(), scalar_h.l2_misses());
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Differential oracle for the single-pass probe pipeline.
 //!
 //! `Hierarchy::probe` collapses the per-access SVB/L1/L2 resolution into
-//! one call; the scalar pair `access_l1_hit` + `access_after_l1_miss`
-//! (plus `fill_into` for interposed prefetch consumption) is retained as
-//! the reference path. These properties drive both through identical
-//! random access/invalidation/fill sequences — including interposed
-//! (SVB-hit) accesses — and require the satisfying level, the eviction
-//! lists, every demand counter, and the final residency to match exactly
-//! at L1 associativities 1, 2, 4, 8, and 16 (the fixed-width specialized
-//! set scans) plus 3 (the generic fallback scan).
+//! one call. The reference path is the scalar call sequence it replaced,
+//! rebuilt here from two plain `Cache`s (`ScalarHierarchy`). These
+//! properties drive both through identical random
+//! access/invalidation/fill sequences — including interposed (SVB-hit)
+//! accesses — and require the satisfying level, the eviction lists,
+//! every demand counter, and the final residency to match exactly at L1
+//! associativities 1, 2, 4, 8, and 16 (the fixed-width specialized set
+//! scans) plus 3 (the generic fallback scan).
 
 use proptest::prelude::*;
 
-use stems_memsim::{CacheConfig, Hierarchy, Level, ProbeLevel, SystemConfig};
+use stems_memsim::{Cache, CacheConfig, Hierarchy, ProbeLevel, SystemConfig};
 use stems_types::BlockAddr;
 
 /// A small, conflict-prone geometry: 8 L1 sets, 32 L2 sets at the given
@@ -32,26 +32,72 @@ fn config(l1_assoc: usize, l2_assoc: usize) -> SystemConfig {
     }
 }
 
-/// One step of the scalar reference path, mirroring what the engine's
-/// pre-pipeline hot loop did call by call.
-fn scalar_step(
-    h: &mut Hierarchy,
-    block: BlockAddr,
-    is_write: bool,
-    svb_has_block: bool,
-    l1_evicted: &mut Vec<BlockAddr>,
-) -> ProbeLevel {
-    if h.access_l1_hit(block, is_write) {
-        return ProbeLevel::L1;
+/// The scalar reference: the same inclusive L1 + L2 pair as two plain
+/// `Cache`s, resolved call by call the way the engine's pre-pipeline hot
+/// loop did.
+struct ScalarHierarchy {
+    l1: Cache,
+    l2: Cache,
+}
+
+impl ScalarHierarchy {
+    fn new(config: &SystemConfig) -> Self {
+        ScalarHierarchy {
+            l1: Cache::new(&config.l1),
+            l2: Cache::new(&config.l2),
+        }
     }
-    if svb_has_block {
-        h.fill_into(block, l1_evicted);
-        return ProbeLevel::Svb;
+
+    /// One demand access: an L1 hit check, then either a prefetch fill
+    /// (the interposed buffer held the block) or an L1 miss fill plus
+    /// an L2 demand access whose victim is back-invalidated from the L1.
+    fn step(
+        &mut self,
+        block: BlockAddr,
+        is_write: bool,
+        svb_has_block: bool,
+        l1_evicted: &mut Vec<BlockAddr>,
+    ) -> ProbeLevel {
+        if self.l1.access_hit(block, is_write) {
+            return ProbeLevel::L1;
+        }
+        if svb_has_block {
+            self.fill(block, l1_evicted);
+            return ProbeLevel::Svb;
+        }
+        if let Some(e) = self.l1.miss_fill(block, is_write) {
+            l1_evicted.push(e.block);
+        }
+        let l2 = self.l2.access(block, is_write);
+        if let Some(e) = l2.evicted {
+            if self.l1.invalidate(e.block) {
+                l1_evicted.push(e.block);
+            }
+        }
+        if l2.hit {
+            ProbeLevel::L2
+        } else {
+            ProbeLevel::Memory
+        }
     }
-    match h.access_after_l1_miss(block, is_write, l1_evicted) {
-        Level::L2 => ProbeLevel::L2,
-        Level::Memory => ProbeLevel::Memory,
-        Level::L1 => unreachable!("the L1 probe above missed"),
+
+    /// A prefetch fill into both levels, with inclusion.
+    fn fill(&mut self, block: BlockAddr, l1_evicted: &mut Vec<BlockAddr>) {
+        if let Some(e) = self.l1.fill(block) {
+            l1_evicted.push(e.block);
+        }
+        if let Some(e) = self.l2.fill(block) {
+            if self.l1.invalidate(e.block) {
+                l1_evicted.push(e.block);
+            }
+        }
+    }
+
+    /// A coherence invalidation; whether the block was in the L1.
+    fn invalidate(&mut self, block: BlockAddr) -> bool {
+        let was_in_l1 = self.l1.invalidate(block);
+        self.l2.invalidate(block);
+        was_in_l1
     }
 }
 
@@ -62,7 +108,7 @@ fn scalar_step(
 fn check_differential(l1_assoc: usize, l2_assoc: usize, ops: &[(u64, u8)]) -> Result<(), String> {
     let cfg = config(l1_assoc, l2_assoc);
     let mut pipeline = Hierarchy::new(&cfg);
-    let mut scalar = Hierarchy::new(&cfg);
+    let mut scalar = ScalarHierarchy::new(&cfg);
     let mut pipe_evicted = Vec::new();
     let mut ref_evicted = Vec::new();
     for (i, &(raw, op)) in ops.iter().enumerate() {
@@ -74,13 +120,7 @@ fn check_differential(l1_assoc: usize, l2_assoc: usize, ops: &[(u64, u8)]) -> Re
                 pipe_evicted.clear();
                 ref_evicted.clear();
                 let got = pipeline.probe(block, is_write, || svb_has_block, &mut pipe_evicted);
-                let want = scalar_step(
-                    &mut scalar,
-                    block,
-                    is_write,
-                    svb_has_block,
-                    &mut ref_evicted,
-                );
+                let want = scalar.step(block, is_write, svb_has_block, &mut ref_evicted);
                 prop_assert_eq!(
                     got,
                     want,
@@ -111,7 +151,7 @@ fn check_differential(l1_assoc: usize, l2_assoc: usize, ops: &[(u64, u8)]) -> Re
                 pipe_evicted.clear();
                 ref_evicted.clear();
                 pipeline.fill_into(block, &mut pipe_evicted);
-                scalar.fill_into(block, &mut ref_evicted);
+                scalar.fill(block, &mut ref_evicted);
                 prop_assert_eq!(
                     &pipe_evicted,
                     &ref_evicted,
@@ -122,51 +162,41 @@ fn check_differential(l1_assoc: usize, l2_assoc: usize, ops: &[(u64, u8)]) -> Re
             }
         }
         // All demand counters must track exactly, every step.
-        prop_assert_eq!(
-            pipeline.l1().hits(),
-            scalar.l1().hits(),
-            "L1 hits, op {}",
-            i
-        );
+        prop_assert_eq!(pipeline.l1().hits(), scalar.l1.hits(), "L1 hits, op {}", i);
         prop_assert_eq!(
             pipeline.l1_misses(),
-            scalar.l1_misses(),
+            scalar.l1.misses(),
             "L1 misses, op {}",
             i
         );
-        prop_assert_eq!(
-            pipeline.l2().hits(),
-            scalar.l2().hits(),
-            "L2 hits, op {}",
-            i
-        );
+        prop_assert_eq!(pipeline.l2().hits(), scalar.l2.hits(), "L2 hits, op {}", i);
         prop_assert_eq!(
             pipeline.l2_misses(),
-            scalar.l2_misses(),
+            scalar.l2.misses(),
             "L2 misses, op {}",
             i
         );
         prop_assert_eq!(
             pipeline.l1().occupancy(),
-            scalar.l1().occupancy(),
+            scalar.l1.occupancy(),
             "L1 occupancy, op {}",
             i
         );
         prop_assert_eq!(
             pipeline.l2().occupancy(),
-            scalar.l2().occupancy(),
+            scalar.l2.occupancy(),
             "L2 occupancy, op {}",
             i
         );
         prop_assert_eq!(
             pipeline.in_l1(block),
-            scalar.in_l1(block),
+            scalar.l1.contains(block),
             "L1 residency, op {}",
             i
         );
         prop_assert_eq!(
             pipeline.in_l2(block),
-            scalar.in_l2(block),
+            scalar.l2.contains(block),
             "L2 residency, op {}",
             i
         );
@@ -224,4 +254,26 @@ proptest! {
     ) {
         check_differential(16, l2_assoc, &ops)?;
     }
+}
+
+/// A short conflict-heavy mix on the small system configuration, where
+/// every level outcome occurs.
+#[test]
+fn probe_matches_scalar_access_on_levels() {
+    let cfg = SystemConfig::small();
+    let mut probe_h = Hierarchy::new(&cfg);
+    let mut scalar_h = ScalarHierarchy::new(&cfg);
+    let blocks = [77u64, 77, 109, 141, 77, 9, 77, 141];
+    for (i, &raw) in blocks.iter().enumerate() {
+        let b = BlockAddr::new(raw);
+        let is_write = i % 3 == 2;
+        let mut evicted = Vec::new();
+        let level = probe_h.probe(b, is_write, || false, &mut evicted);
+        let mut scalar_evicted = Vec::new();
+        let want = scalar_h.step(b, is_write, false, &mut scalar_evicted);
+        assert_eq!(level, want, "step {i}");
+        assert_eq!(evicted, scalar_evicted, "step {i}");
+    }
+    assert_eq!(probe_h.l1_misses(), scalar_h.l1.misses());
+    assert_eq!(probe_h.l2_misses(), scalar_h.l2.misses());
 }

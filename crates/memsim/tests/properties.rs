@@ -236,7 +236,7 @@ proptest! {
                     h.access(block, false);
                 }
                 1 => {
-                    h.fill(block);
+                    h.fill_into(block, &mut Vec::new());
                 }
                 _ => {
                     h.invalidate(block);

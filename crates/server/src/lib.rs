@@ -428,18 +428,9 @@ impl Server {
         self.local_addr
     }
 
-    /// A handle that observes (and can set) the shutdown flag, for
-    /// embedding the server in a process that stops it itself.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Serves connections until a client's `Shutdown` request (or
-    /// [`ShutdownHandle::shutdown`]) drains the server. Every
-    /// connection thread is joined before returning, so when `run`
-    /// comes back no request is still in flight.
+    /// Serves connections until a client's `Shutdown` request drains
+    /// the server. Every connection thread is joined before returning,
+    /// so when `run` comes back no request is still in flight.
     pub fn run(self) -> std::io::Result<()> {
         let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut last_sweep = Instant::now();
@@ -487,25 +478,6 @@ impl Server {
             let _ = w.join();
         }
         Ok(())
-    }
-}
-
-/// Observes and sets a [`Server`]'s shutdown flag from outside its
-/// accept loop.
-pub struct ShutdownHandle {
-    shared: Arc<Shared>,
-}
-
-impl ShutdownHandle {
-    /// Asks the accept loop to stop. Does not drain sessions — use a
-    /// client `Shutdown` request for a summarized drain.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 }
 

@@ -10,13 +10,13 @@ mod support;
 
 use std::thread;
 
-use stems_client::Client;
+use stems_client::{Client, ClientError};
 use stems_core::protocol::{OpenRequest, SessionSummary};
 use stems_core::{Predictor, PrefetchConfig};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_server::ServerConfig;
 use stems_trace::store::TraceReader;
-use support::{fail_fast, local_summary, start_server, store_bytes, test_trace};
+use support::{fail_fast, local_summary, sample, start_server, store_bytes, test_trace};
 
 /// The two golden configurations from `engine::sim`: the default small
 /// geometry and the 1KB 2-way L1 / 16KB L2 pressure geometry.
@@ -240,5 +240,48 @@ fn shutdown_drains_open_sessions_with_summaries() {
     // closing the feeder's idle connection spares its worker the read
     // timeout.
     drop(feeder);
+    handle.join().unwrap().expect("server run");
+}
+
+/// Checksummed `Open`s whose configs cannot build a session (an L1 with
+/// zero ways, an SVB of zero entries, an L1 of 3 sets) get a typed
+/// `Error` reply naming the field; no connection worker panics and no
+/// session opens.
+#[test]
+fn degenerate_opens_get_an_error_reply() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let base = OpenRequest {
+        system: SystemConfig::small(),
+        prefetch: PrefetchConfig::small(),
+        predictor: Predictor::Stems,
+        invalidations: None,
+    };
+    let mut zero_ways = base.clone();
+    zero_ways.system.l1.associativity = 0;
+    let mut zero_svb = base.clone();
+    zero_svb.prefetch.svb_entries = 0;
+    let mut three_sets = base;
+    three_sets.system.l1 = CacheConfig {
+        size_bytes: 3 * 2 * 64,
+        associativity: 2,
+    };
+    for (open, field) in [
+        (zero_ways, "l1"),
+        (zero_svb, "svb_entries"),
+        (three_sets, "l1"),
+    ] {
+        let mut client = Client::connect(addr).expect("connect");
+        match client.open(&open) {
+            Err(ClientError::Server { message, .. }) => {
+                assert!(message.contains(field), "{field}: {message}")
+            }
+            other => panic!("{field}: want an Error reply, got {other:?}"),
+        }
+    }
+    let mut admin = Client::connect(addr).expect("connect");
+    let scrape = admin.metrics(false).expect("scrape").exposition;
+    assert_eq!(sample(&scrape, "stems_worker_panics_total"), 0);
+    assert_eq!(sample(&scrape, "stems_sessions_opened_total"), 0);
+    assert!(admin.shutdown_server().expect("shutdown").is_empty());
     handle.join().unwrap().expect("server run");
 }

@@ -347,16 +347,6 @@ impl<W: StoreSink> TraceWriter<W> {
             records: self.records,
         })
     }
-
-    /// Records written so far (excluding the buffered partial frame).
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
-    /// Frames written so far.
-    pub fn frames_written(&self) -> u64 {
-        self.frames
-    }
 }
 
 impl<W: StoreSink> Drop for TraceWriter<W> {

@@ -136,11 +136,6 @@ impl RegionAddr {
         Addr(self.0 << REGION_SHIFT)
     }
 
-    /// The first cache block of the region.
-    pub const fn first_block(self) -> BlockAddr {
-        BlockAddr(self.0 << (REGION_SHIFT - BLOCK_SHIFT))
-    }
-
     /// The block at `offset` within this region.
     ///
     /// # Panics

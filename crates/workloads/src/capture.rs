@@ -52,19 +52,6 @@ pub fn capture_to_path<P: AsRef<Path>>(
     writer.finish()
 }
 
-impl Workload {
-    /// Captures this workload's trace at `(scale, seed)` to `path`
-    /// (see [`capture_to_path`]).
-    pub fn capture_scaled<P: AsRef<Path>>(
-        self,
-        scale: f64,
-        seed: u64,
-        path: P,
-    ) -> Result<StoreSummary, TraceStoreError> {
-        capture_to_path(self, scale, seed, path, SyncPolicy::OnFinish)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
