@@ -95,15 +95,6 @@ pub trait PrefetchSink {
     /// Discards all SVB blocks belonging to `tag` (stream reallocation);
     /// they count as overpredictions.
     fn flush_stream(&mut self, tag: StreamTag);
-
-    /// Whether `block` is in the L1.
-    fn in_l1(&self, block: BlockAddr) -> bool;
-
-    /// Whether `block` is in the L2.
-    fn in_l2(&self, block: BlockAddr) -> bool;
-
-    /// Whether `block` is in the SVB.
-    fn in_svb(&self, block: BlockAddr) -> bool;
 }
 
 /// A hardware prefetcher under evaluation.

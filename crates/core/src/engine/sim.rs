@@ -198,13 +198,15 @@ struct EngineSink<'a> {
 
 impl PrefetchSink for EngineSink<'_> {
     fn fetch_svb(&mut self, block: BlockAddr, tag: StreamTag) -> bool {
-        if self.hierarchy.in_l1(block) || self.hierarchy.in_l2(block) {
-            return false;
-        }
-        // Single-hash SVB admission: residency check and insert share one
-        // index probe (this runs for every candidate a stream pumps).
-        match self.svb.try_insert(block, tag) {
-            SvbInsert::AlreadyResident => false,
+        // SVB first: one index probe settles residency and admission (this
+        // runs for every candidate a stream pumps, and most are already
+        // resident), and only a block the SVB lacks pays the two cache-set
+        // scans. Either order refuses the same blocks.
+        let hierarchy = &*self.hierarchy;
+        match self.svb.try_insert(block, tag, || {
+            hierarchy.in_l1(block) || hierarchy.in_l2(block)
+        }) {
+            SvbInsert::AlreadyResident | SvbInsert::Refused => false,
             SvbInsert::Inserted(evicted) => {
                 self.counters.fetches += 1;
                 self.fetched.push(block);
@@ -237,18 +239,6 @@ impl PrefetchSink for EngineSink<'_> {
 
     fn flush_stream(&mut self, tag: StreamTag) {
         self.counters.overpredictions += self.svb.flush_tag(tag) as u64;
-    }
-
-    fn in_l1(&self, block: BlockAddr) -> bool {
-        self.hierarchy.in_l1(block)
-    }
-
-    fn in_l2(&self, block: BlockAddr) -> bool {
-        self.hierarchy.in_l2(block)
-    }
-
-    fn in_svb(&self, block: BlockAddr) -> bool {
-        self.svb.contains(block)
     }
 }
 

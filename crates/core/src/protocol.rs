@@ -83,12 +83,16 @@ pub const KIND_BUSY: u8 = 0x87;
 /// Message kind: server reports a typed failure.
 pub const KIND_ERROR: u8 = 0x8F;
 
-/// Prefix the server puts on `Error` messages that report a *framing*
-/// failure (corrupt, truncated, or oversized bytes on the wire) rather
-/// than an application-level refusal. A client seeing it knows the
-/// request may have been mangled in flight and is safe to retry over a
-/// fresh connection (idempotently, via the resume protocol) — unlike
-/// every other server error, which is authoritative.
+/// Prefix the server puts on `Error` messages that report a request
+/// damaged in flight — the transient wire errors (checksum mismatch,
+/// truncation, an oversized length prefix; see
+/// [`WireError::is_transient`]) — rather than a refusal of intact bytes.
+/// A client seeing it knows the request may have been mangled in flight
+/// and is safe to retry over a fresh connection (idempotently, via the
+/// resume protocol) — unlike every other server error, which is
+/// authoritative, including a checksummed request that fails to decode
+/// (`Corrupt`, `UnknownKind`), such as an `Open` whose config cannot
+/// build a session.
 pub const FRAMING_ERROR_PREFIX: &str = "bad frame: ";
 
 /// Upper bound accepted for any table-size field in a decoded config
@@ -453,6 +457,7 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
         (prefetch.pst_entries, "config field pst_entries is zero"),
         (prefetch.cmob_entries, "config field cmob_entries is zero"),
         (prefetch.rmob_entries, "config field rmob_entries is zero"),
+        (prefetch.recon_entries, "config field recon_entries is zero"),
         (
             prefetch.stride_entries,
             "config field stride_entries is zero",
@@ -1168,8 +1173,22 @@ mod tests {
         // 13 system + 14 prefetch varints; l1 is fields 0 (size_bytes)
         // and 1 (associativity).
         const CONFIG_FIELDS: usize = 27;
-        let trace: Vec<Access> = (0..2000u64)
-            .map(|i| Access::read(Pc::new(0x400 + i % 7), Addr::new((i * 7919 % 512) * 64)))
+        // A scattered region walk, repeated: every region is visited in
+        // one layout under fixed PCs, so early passes train spatial
+        // sequences and the miss order, and later passes start streams
+        // that reconstruct from them (STeMS expands PST sequences into
+        // its window). The 512 blocks map to 32 sets of the small L2,
+        // 16 to each 4-way set, so every pass misses off chip, and a
+        // pass's 128 triggers fit the small RMOB's 256 entries.
+        let trace: Vec<Access> = (0..4)
+            .flat_map(|_| 0..128u64)
+            .flat_map(|r| {
+                let base = (1 << 32) + (r * 2_654_435_761 % (1 << 14)) * 2048;
+                [0u64, 5, 9, 14]
+                    .into_iter()
+                    .zip(0u64..)
+                    .map(move |(o, i)| Access::read(Pc::new(0x700 + i), Addr::new(base + o * 64)))
+            })
             .collect();
         for predictor in Predictor::ALL {
             let payload = open_payload(OpenRequest {

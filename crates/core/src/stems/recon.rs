@@ -143,13 +143,22 @@ pub struct Reconstructor {
 /// Physical ring size for a logical window capacity: the next power of
 /// two, at least one occupancy word wide so the bitmap walk never
 /// special-cases a partial word.
+///
+/// # Panics
+///
+/// Panics if `capacity == 0`: a window must hold at least its trigger.
 fn ring_size(capacity: usize) -> usize {
+    assert!(capacity > 0, "Reconstructor window must be nonzero");
     capacity.next_power_of_two().max(64)
 }
 
 impl Reconstructor {
     /// Starts a reconstruction whose initiating miss matched the RMOB at
     /// `rmob_pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
     pub fn new(rmob_pos: u64, capacity: usize, search: usize) -> Self {
         let physical = ring_size(capacity);
         Reconstructor {
@@ -171,6 +180,10 @@ impl Reconstructor {
     /// Re-initializes a recycled reconstructor to exactly the state
     /// [`Reconstructor::new`] would produce, keeping the window and
     /// PST-expansion scratch allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
     pub fn reset(&mut self, rmob_pos: u64, capacity: usize, search: usize) {
         let physical = ring_size(capacity);
         if physical != self.slots.len() {
@@ -311,7 +324,7 @@ impl Reconstructor {
             self.primed = true;
             // The initiating miss occupies slot 0; it was demand-fetched,
             // and the residency filter will refuse a refetch when drained.
-            if self.base == 0 && self.capacity > 0 {
+            if self.base == 0 {
                 self.set_slot(0, entry.block);
             }
             Some(0)

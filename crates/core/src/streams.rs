@@ -407,15 +407,6 @@ mod tests {
         fn flush_stream(&mut self, tag: StreamTag) {
             self.flushed.push(tag);
         }
-        fn in_l1(&self, _block: BlockAddr) -> bool {
-            false
-        }
-        fn in_l2(&self, _block: BlockAddr) -> bool {
-            false
-        }
-        fn in_svb(&self, _block: BlockAddr) -> bool {
-            false
-        }
     }
 
     /// Source producing blocks `start..start+len`.

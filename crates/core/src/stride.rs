@@ -168,15 +168,6 @@ mod tests {
                 panic!("write should not prefetch");
             }
             fn flush_stream(&mut self, _: StreamTag) {}
-            fn in_l1(&self, _: BlockAddr) -> bool {
-                false
-            }
-            fn in_l2(&self, _: BlockAddr) -> bool {
-                false
-            }
-            fn in_svb(&self, _: BlockAddr) -> bool {
-                false
-            }
         }
         for i in 0..16u64 {
             p.on_access(

@@ -580,11 +580,19 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 // Hostile or corrupt bytes: report the typed error,
                 // then drop the connection — framing is unrecoverable.
                 // A failed decode never strands a session: the chunk is
-                // fully decoded before any checkout happens.
+                // fully decoded before any checkout happens. Only damage
+                // in flight carries the retryable prefix; an intact
+                // request the server refuses (an `Open` whose config
+                // cannot build a session) would be refused again.
                 shared.obs.wire_error(&e);
+                let prefix = if e.is_transient() {
+                    stems_core::protocol::FRAMING_ERROR_PREFIX
+                } else {
+                    ""
+                };
                 let resp = Response::Error {
                     session: None,
-                    message: format!("{}{e}", stems_core::protocol::FRAMING_ERROR_PREFIX),
+                    message: format!("{prefix}{e}"),
                 };
                 let _ = send(&mut writer, &mut frame, &mut scratch, &resp);
                 return;

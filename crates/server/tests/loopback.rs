@@ -10,7 +10,7 @@ mod support;
 
 use std::thread;
 
-use stems_client::{Client, ClientError};
+use stems_client::{Client, ClientError, ResilientClient, RetryPolicy};
 use stems_core::protocol::{OpenRequest, SessionSummary};
 use stems_core::{Predictor, PrefetchConfig};
 use stems_memsim::{CacheConfig, SystemConfig};
@@ -282,6 +282,39 @@ fn degenerate_opens_get_an_error_reply() {
     let scrape = admin.metrics(false).expect("scrape").exposition;
     assert_eq!(sample(&scrape, "stems_worker_panics_total"), 0);
     assert_eq!(sample(&scrape, "stems_sessions_opened_total"), 0);
+    assert!(admin.shutdown_server().expect("shutdown").is_empty());
+    handle.join().unwrap().expect("server run");
+}
+
+/// An intact `Open` refused for its config is authoritative: under the
+/// default retry policy a resilient client gets the error on its first
+/// attempt, with no reconnect or backoff, and the server counts exactly
+/// one decode failure.
+#[test]
+fn refused_open_fails_fast_under_the_default_retry_policy() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut open = OpenRequest {
+        system: SystemConfig::small(),
+        prefetch: PrefetchConfig::small(),
+        predictor: Predictor::Stems,
+        invalidations: None,
+    };
+    open.prefetch.svb_entries = 0;
+    let mut client = ResilientClient::new(addr.to_string(), RetryPolicy::default());
+    let err = client.open(&open).expect_err("a zero-entry SVB is refused");
+    let ClientError::Server { message, .. } = &err else {
+        panic!("want an Error reply, got {err:?}");
+    };
+    assert!(message.contains("svb_entries"), "{message}");
+    assert!(!err.is_transient(), "retryable refusal: {err}");
+    assert_eq!(client.stats().reconnects, 0);
+    let mut admin = Client::connect(addr).expect("connect");
+    let scrape = admin.metrics(false).expect("scrape").exposition;
+    assert_eq!(sample(&scrape, "stems_wire_errors_total"), 1);
+    assert_eq!(
+        sample(&scrape, "stems_wire_errors_by_kind_total{kind=\"corrupt\"}"),
+        1
+    );
     assert!(admin.shutdown_server().expect("shutdown").is_empty());
     handle.join().unwrap().expect("server run");
 }
