@@ -3,11 +3,12 @@
 
 use std::process::ExitCode;
 
+use stems_harness::Settings;
+
 fn main() -> ExitCode {
-    let settings = stems_harness::Settings::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match seeds_flag(&args) {
-        Ok(seeds) => {
+    match parse_args(&args) {
+        Ok((settings, seeds)) => {
             println!(
                 "{}",
                 stems_harness::stats::fig10_with_confidence(settings, seeds)
@@ -21,10 +22,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--seeds n` (n at least 1, default 3). A missing or malformed
-/// value or a zero count is an error naming the flag; other arguments
-/// are skipped.
-fn seeds_flag(args: &[String]) -> Result<usize, String> {
+/// Parses the shared settings and `--seeds n` (n at least 1, default 3).
+/// An unknown flag, a stray argument, a missing or malformed value, or a
+/// zero count is an error naming it.
+fn parse_args(args: &[String]) -> Result<(Settings, usize), String> {
+    let settings = Settings::from_args_strict(args.iter().cloned(), &["--seeds"])?;
     let mut seeds = 3;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
@@ -41,7 +43,7 @@ fn seeds_flag(args: &[String]) -> Result<usize, String> {
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    Ok(seeds)
+    Ok((settings, seeds))
 }
 
 #[cfg(test)]
@@ -52,7 +54,7 @@ mod tests {
     fn seeds_flag_accepts_and_rejects() {
         let parse = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            seeds_flag(&args)
+            parse_args(&args).map(|(_, seeds)| seeds)
         };
         let accepted: [(&[&str], usize); 4] = [
             (&[], 3),
@@ -63,12 +65,17 @@ mod tests {
         for (args, want) in accepted {
             assert_eq!(parse(args), Ok(want), "{args:?}");
         }
-        let rejected: [&[&str]; 5] = [
+        let rejected: [&[&str]; 9] = [
             &["--seeds"],
             &["--seeds", "banana"],
             &["--seeds", "0"],
             &["--seeds", "-2"],
             &["--seeds", "--scale", "0.01"],
+            // Unknown flags and stray arguments, as in every figure binary.
+            &["--sacle", "0.05"],
+            &["--seed", "7", "--sedes", "2"],
+            &["--seeds", "2", "stray"],
+            &["5"],
         ];
         for args in rejected {
             assert!(parse(args).is_err(), "{args:?} must be rejected");

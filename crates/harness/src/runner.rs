@@ -46,12 +46,36 @@ impl Default for Settings {
 }
 
 impl Settings {
+    /// The flags every experiment binary takes, each followed by a value.
+    const FLAGS: [&'static str; 4] = ["--scale", "--seed", "--threads", "--trace-dir"];
+
     /// Parses `--scale <f>`, `--seed <n>`, `--threads <n>`, and
     /// `--trace-dir <dir>` from an argument list. A flag whose value is
     /// missing or malformed is an error naming it (`--scale` must be a
-    /// positive finite number); other arguments are ignored, because the
-    /// binaries layer their own flags on top.
+    /// positive finite number); other arguments are ignored, because
+    /// `tracegen` and `bench_harness` layer their own flags on top.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        Settings::parse(args, None)
+    }
+
+    /// Parses like [`Settings::from_args`], but every argument must be one
+    /// of the four shared flags or of `extra` (value-taking flags the
+    /// caller reads itself), each followed by a value: an unknown flag or
+    /// a stray argument is an error naming it, so a typo'd flag never
+    /// runs with the default.
+    pub fn from_args_strict(
+        args: impl IntoIterator<Item = String>,
+        extra: &[&str],
+    ) -> Result<Self, String> {
+        Settings::parse(args, Some(extra))
+    }
+
+    /// `strict` holds the caller's own flags when unknown arguments are
+    /// errors, and is `None` when they are skipped.
+    fn parse(
+        args: impl IntoIterator<Item = String>,
+        strict: Option<&[&str]>,
+    ) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
             let v = v
                 .filter(|v| !v.starts_with("--"))
@@ -74,16 +98,32 @@ impl Settings {
                     let dir: String = value(&flag, args.next())?;
                     s.trace_dir = Some(std::sync::Arc::from(dir));
                 }
-                _ => {}
+                other => match strict {
+                    None => {}
+                    Some(extra) if extra.contains(&other) => {
+                        value::<String>(other, args.next())?;
+                    }
+                    Some(extra) if other.starts_with("--") => {
+                        let known: Vec<&str> =
+                            Settings::FLAGS.iter().chain(extra).copied().collect();
+                        return Err(format!(
+                            "{other}: unknown flag (expected one of {})",
+                            known.join(", ")
+                        ));
+                    }
+                    Some(_) => return Err(format!("unexpected argument {other:?}")),
+                },
             }
         }
         Ok(s)
     }
 
-    /// Parses from the process arguments; a missing or malformed value
-    /// is reported on stderr and exits the process with status 2.
+    /// Parses the process arguments with [`Settings::from_args_strict`]
+    /// and no extra flags; an unknown flag, a stray argument, or a
+    /// missing or malformed value is reported on stderr and exits the
+    /// process with status 2.
     pub fn from_env() -> Self {
-        Settings::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        Settings::from_args_strict(std::env::args().skip(1), &[]).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
         })
@@ -395,6 +435,63 @@ mod tests {
         for args in rejected {
             let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
             assert!(err.starts_with("--"), "error names the flag: {err}");
+            let strict = Settings::from_args_strict(args.iter().map(|s| s.to_string()), &[]);
+            assert_eq!(strict, Err(err), "{args:?}");
+        }
+        // Strict parsing (every experiment binary but tracegen and
+        // bench_harness) accepts only the shared flags and the caller's
+        // own, and names whatever else it finds.
+        let strict = |args: &[&str], extra: &[&str]| {
+            Settings::from_args_strict(args.iter().map(|s| s.to_string()), extra)
+        };
+        let accepted: [(&[&str], &[&str], Settings); 4] = [
+            (&[], &[], Settings::default()),
+            (
+                &[
+                    "--scale",
+                    "0.25",
+                    "--seed",
+                    "7",
+                    "--threads",
+                    "3",
+                    "--trace-dir",
+                    "corpus",
+                ],
+                &[],
+                Settings {
+                    scale: 0.25,
+                    seed: 7,
+                    threads: 3,
+                    trace_dir: Some("corpus".into()),
+                },
+            ),
+            (
+                &["--seeds", "5", "--seed", "1"],
+                &["--seeds"],
+                Settings {
+                    seed: 1,
+                    ..Settings::default()
+                },
+            ),
+            // The caller checks its own flags' values.
+            (&["--seeds", "banana"], &["--seeds"], Settings::default()),
+        ];
+        for (args, extra, want) in accepted {
+            assert_eq!(strict(args, extra), Ok(want), "{args:?}");
+        }
+        let rejected: [(&[&str], &[&str], &str); 8] = [
+            (&["--sacle", "0.05"], &[], "--sacle"),
+            (&["--scale", "0.05", "--junk"], &[], "--junk"),
+            (&["--help"], &[], "--help"),
+            (&["--seeds", "3"], &[], "--seeds"),
+            (&["0.05"], &[], "\"0.05\""),
+            (&["--scale", "0.05", "stray"], &[], "\"stray\""),
+            (&["--seeds"], &["--seeds"], "--seeds"),
+            (&["--seeds", "--scale", "0.1"], &["--seeds"], "--seeds"),
+        ];
+        for (args, extra, named) in rejected {
+            let err = strict(args, extra).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(named), "error names {named}: {err}");
         }
         assert_eq!(parse(&["--threads", "3"]).unwrap().effective_threads(), 3);
         assert!(Settings::default().effective_threads() >= 1);

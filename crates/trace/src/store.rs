@@ -41,7 +41,7 @@
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use stems_types::varint;
 use stems_types::{Addr, Pc};
@@ -235,14 +235,16 @@ pub struct StoreSummary {
 
 /// Append-only writer for the chunked trace store.
 ///
-/// Records buffer until a frame fills ([`TraceWriter::with_frame_capacity`]),
-/// then the frame is delta/varint encoded, checksummed, and appended.
-/// Call [`TraceWriter::finish`] to flush the final partial frame and
-/// apply the [`SyncPolicy`]; dropping an unfinished writer flushes
-/// best-effort but reports no errors.
+/// Records are cut into frames of [`TraceWriter::with_frame_capacity`]
+/// records; each full frame is delta/varint encoded, checksummed, and
+/// appended, and only a partial tail waits for the next write. Call
+/// [`TraceWriter::finish`] to flush the final partial frame and apply the
+/// [`SyncPolicy`]; dropping an unfinished writer flushes best-effort but
+/// reports no errors.
 #[derive(Debug)]
 pub struct TraceWriter<W: StoreSink> {
     sink: W,
+    /// Records of the partial frame not yet written.
     pending: Vec<Access>,
     frame_capacity: usize,
     sync_policy: SyncPolicy,
@@ -250,12 +252,30 @@ pub struct TraceWriter<W: StoreSink> {
     frames: u64,
     records: u64,
     finished: bool,
+    /// The directory of a file this writer created, until the first sync
+    /// makes the file's entry in it durable.
+    unsynced_dir: Option<PathBuf>,
 }
 
 impl TraceWriter<BufWriter<File>> {
-    /// Creates (truncating) `path` and writes the store header.
+    /// Creates (truncating) `path` and writes the store header. Under a
+    /// syncing [`SyncPolicy`], the first sync of the file's data also
+    /// syncs its parent directory, so the new file's name survives a
+    /// crash along with its frames.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, TraceStoreError> {
-        TraceWriter::new(BufWriter::new(File::create(path)?))
+        let path = path.as_ref();
+        let mut writer = TraceWriter::new(BufWriter::new(File::create(path)?))?;
+        writer.unsynced_dir = Some(parent_dir(path).to_path_buf());
+        Ok(writer)
+    }
+}
+
+/// The directory whose entry names `path`: its parent, or `.` for a bare
+/// file name.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
@@ -274,6 +294,7 @@ impl<W: StoreSink> TraceWriter<W> {
             frames: 0,
             records: 0,
             finished: false,
+            unsynced_dir: None,
         })
     }
 
@@ -300,11 +321,29 @@ impl<W: StoreSink> TraceWriter<W> {
     }
 
     /// Appends a slice of accesses (the capture-side mirror of
-    /// `Session::run_chunk`).
-    pub fn write_accesses(&mut self, accesses: &[Access]) -> Result<(), TraceStoreError> {
-        for &a in accesses {
-            self.push(a)?;
+    /// `Session::run_chunk`). Full frames are encoded straight from
+    /// `accesses`; only a partial tail is copied, to wait for the next
+    /// write or [`TraceWriter::finish`]. The frames are the same however
+    /// the caller slices its writes.
+    pub fn write_accesses(&mut self, mut accesses: &[Access]) -> Result<(), TraceStoreError> {
+        assert!(!self.finished, "TraceWriter used after finish()");
+        if !self.pending.is_empty() {
+            let fill = accesses
+                .len()
+                .min(self.frame_capacity.saturating_sub(self.pending.len()));
+            self.pending.extend_from_slice(&accesses[..fill]);
+            accesses = &accesses[fill..];
+            if self.pending.len() < self.frame_capacity {
+                return Ok(());
+            }
+            self.flush_frame()?;
         }
+        let mut frames = accesses.chunks_exact(self.frame_capacity);
+        for frame in &mut frames {
+            self.write_frame(frame)?;
+            self.frame_written()?;
+        }
+        self.pending.extend_from_slice(frames.remainder());
         Ok(())
     }
 
@@ -315,20 +354,44 @@ impl<W: StoreSink> TraceWriter<W> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let pending = std::mem::take(&mut self.pending);
+        let written = self.write_frame(&pending);
+        self.pending = pending;
+        written?;
+        self.pending.clear();
+        self.frame_written()
+    }
+
+    /// Encodes `records` (at most one frame's worth) and appends them as
+    /// one frame.
+    fn write_frame(&mut self, records: &[Access]) -> Result<(), TraceStoreError> {
         self.payload.clear();
-        encode_records(&self.pending, &mut self.payload);
+        encode_records(records, &mut self.payload);
         debug_assert!(self.payload.len() <= MAX_FRAME_PAYLOAD);
-        self.sink
-            .write_all(&(self.pending.len() as u32).to_le_bytes())?;
+        self.sink.write_all(&(records.len() as u32).to_le_bytes())?;
         self.sink
             .write_all(&(self.payload.len() as u32).to_le_bytes())?;
         self.sink.write_all(&self.payload)?;
         self.sink.write_all(&crc32(&self.payload).to_le_bytes())?;
         self.frames += 1;
-        self.records += self.pending.len() as u64;
-        self.pending.clear();
+        self.records += records.len() as u64;
+        Ok(())
+    }
+
+    /// Applies the per-frame part of the sync policy to a written frame.
+    fn frame_written(&mut self) -> Result<(), TraceStoreError> {
         if self.sync_policy == SyncPolicy::EveryFrame {
-            self.sink.sync_to_storage()?;
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Forces the written bytes to durable storage, and on the first call
+    /// the directory entry of a file this writer created.
+    fn sync(&mut self) -> Result<(), TraceStoreError> {
+        self.sink.sync_to_storage()?;
+        if let Some(dir) = self.unsynced_dir.take() {
+            File::open(dir)?.sync_all()?;
         }
         Ok(())
     }
@@ -339,7 +402,7 @@ impl<W: StoreSink> TraceWriter<W> {
         self.flush_frame()?;
         match self.sync_policy {
             SyncPolicy::Never => self.sink.flush()?,
-            SyncPolicy::OnFinish | SyncPolicy::EveryFrame => self.sink.sync_to_storage()?,
+            SyncPolicy::OnFinish | SyncPolicy::EveryFrame => self.sync()?,
         }
         self.finished = true;
         Ok(StoreSummary {
@@ -1015,6 +1078,52 @@ mod tests {
         // The file is untouched: header damage is not repairable.
         assert_eq!(std::fs::read(&path).unwrap().len(), 6);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn parent_dir_maps_a_bare_file_name_to_the_working_directory() {
+        assert_eq!(parent_dir(Path::new("db2.stems")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("./db2.stems")), Path::new("."));
+        assert_eq!(
+            parent_dir(Path::new("corpus/db2.stems")),
+            Path::new("corpus")
+        );
+        assert_eq!(
+            parent_dir(Path::new("/srv/corpus/db2.stems")),
+            Path::new("/srv/corpus")
+        );
+    }
+
+    #[test]
+    fn created_stores_round_trip_under_every_sync_policy() {
+        let dir = std::env::temp_dir().join(format!("stems_create_sync_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let t = sample_trace(100);
+        for policy in [
+            SyncPolicy::Never,
+            SyncPolicy::OnFinish,
+            SyncPolicy::EveryFrame,
+        ] {
+            let path = dir.join(format!("{policy:?}.stems"));
+            let mut w = TraceWriter::create(&path)
+                .unwrap()
+                .with_frame_capacity(32)
+                .with_sync_policy(policy);
+            assert_eq!(w.unsynced_dir.as_deref(), Some(dir.as_path()));
+            w.write_accesses(t.as_slice()).unwrap();
+            let summary = w.finish().unwrap();
+            assert_eq!((summary.records, summary.frames), (100, 4), "{policy:?}");
+            // Only a syncing policy touches the directory.
+            assert_eq!(
+                w.unsynced_dir.is_none(),
+                policy != SyncPolicy::Never,
+                "{policy:?}"
+            );
+            drop(w);
+            let back = TraceReader::open(&path).unwrap().read_to_trace().unwrap();
+            assert_eq!(back, t, "{policy:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Shared building blocks for the synthetic workload generators.
 //!
-//! All generators express their memory behaviour as a stream of
-//! [`Visit`]s — one spatial-region episode each (a page touched by a
-//! transaction step, a grid tile of a sweep, a graph node...). The
-//! [`Interleaver`] merges consecutive visits into a single global access
-//! order with bounded overlap, reproducing the paper's observation that
-//! several spatial generations are live at once with their accesses
-//! interleaved (Section 3.1).
+//! All generators express their memory behaviour as a stream of *visits*
+//! — one spatial-region episode each (a page touched by a transaction
+//! step, a grid tile of a sweep, a graph node...). A [`Visits`] batch
+//! holds them back to back, each visit a span of one access array. The
+//! [`Interleaver`] drains a batch into a single global access order with
+//! bounded overlap, reproducing the paper's observation that several
+//! spatial generations are live at once with their accesses interleaved
+//! (Section 3.1). A drained batch keeps its capacity for the generator's
+//! next execution or sweep, so synthesis allocates nothing per visit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 use stems_trace::{Access, AccessKind, Dependence, Trace};
 use stems_types::{Addr, BlockOffset, Pc, RegionAddr};
@@ -28,41 +29,61 @@ pub struct VisitAccess {
     pub work: u16,
 }
 
-/// One spatial-region episode.
-#[derive(Clone, Debug)]
-pub struct Visit {
-    /// The region visited.
-    pub region: RegionAddr,
-    /// Accesses in intended order (offsets may repeat blocks).
-    pub accesses: Vec<VisitAccess>,
-    /// Whether the visit's first access depends on the previous access
-    /// (pointer chase: the region's address was loaded from memory).
-    pub dependent: bool,
+/// One visit of a [`Visits`] batch: its region and its accesses'
+/// positions in the batch's access array. A live visit in the
+/// [`Interleaver`] is the span of its accesses not yet emitted.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    region: RegionAddr,
+    start: usize,
+    end: usize,
+    /// Whether the span's first access depends on the previous access.
+    dependent: bool,
 }
 
-impl Visit {
-    /// Creates a visit to `region` from `(offset, pc)` pairs with uniform
-    /// `work` and no writes.
-    pub fn simple(region: RegionAddr, parts: &[(u8, u64)], work: u16) -> Self {
-        Visit {
-            region,
-            accesses: parts
-                .iter()
-                .map(|&(offset, pc)| VisitAccess {
-                    offset,
-                    pc,
-                    write: false,
-                    work,
-                })
-                .collect(),
-            dependent: false,
+/// A batch of visits in intended order, stored as spans of one shared
+/// access array. [`Interleaver::drain`] empties it and keeps its
+/// capacity, so a generator reuses one batch for every execution or
+/// sweep.
+#[derive(Clone, Debug, Default)]
+pub struct Visits {
+    accesses: Vec<VisitAccess>,
+    spans: Vec<Span>,
+}
+
+impl Visits {
+    /// Creates an empty batch.
+    pub fn new() -> Self {
+        Visits::default()
+    }
+
+    /// Creates an empty batch with room for `visits` visits of
+    /// `accesses` accesses in all.
+    pub fn with_capacity(visits: usize, accesses: usize) -> Self {
+        Visits {
+            accesses: Vec::with_capacity(accesses),
+            spans: Vec::with_capacity(visits),
         }
     }
 
-    /// Marks the visit as pointer-chased.
-    pub fn chained(mut self) -> Self {
-        self.dependent = true;
-        self
+    /// Appends a visit to `region` whose accesses come in intended order
+    /// (offsets may repeat blocks). A `dependent` visit's first access
+    /// depends on the previous access (pointer chase: the region's
+    /// address was loaded from memory).
+    pub fn push(
+        &mut self,
+        region: RegionAddr,
+        dependent: bool,
+        accesses: impl IntoIterator<Item = VisitAccess>,
+    ) {
+        let start = self.accesses.len();
+        self.accesses.extend(accesses);
+        self.spans.push(Span {
+            region,
+            start,
+            end: self.accesses.len(),
+            dependent,
+        });
     }
 }
 
@@ -81,7 +102,7 @@ pub fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Merges a visit stream into a trace with up to `window` visits live at
+/// Merges a visit batch into a trace with up to `window` visits live at
 /// once. Each step, the front visit continues with probability
 /// `1 - mix`; otherwise a later live visit advances, interleaving the
 /// generations. `window == 1` preserves visit order exactly.
@@ -89,6 +110,9 @@ pub struct Interleaver {
     window: usize,
     /// Probability of deferring to a later live visit at each step.
     mix: f64,
+    /// The live visits, oldest first. Empty between calls; kept so its
+    /// capacity is reused.
+    live: Vec<Span>,
 }
 
 impl Interleaver {
@@ -100,43 +124,41 @@ impl Interleaver {
     /// Panics if `window == 0`.
     pub fn new(window: usize, mix: f64) -> Self {
         assert!(window > 0, "interleave window must be nonzero");
-        Interleaver { window, mix }
+        Interleaver {
+            window,
+            mix,
+            live: Vec::with_capacity(window),
+        }
     }
 
-    /// Emits `visits` into `trace`, consuming the iterator.
-    pub fn emit<I: IntoIterator<Item = Visit>>(
-        &self,
-        visits: I,
-        rng: &mut StdRng,
-        trace: &mut Trace,
-    ) {
-        let mut source = visits.into_iter();
-        let mut live: VecDeque<(Visit, usize, bool)> = VecDeque::new(); // (visit, next_idx, started)
+    /// Emits every visit of `visits` into `trace`, in order with up to
+    /// `window` of them live at once, and leaves `visits` empty.
+    pub fn drain(&mut self, visits: &mut Visits, rng: &mut StdRng, trace: &mut Trace) {
+        let mut source = visits.spans.iter();
         loop {
-            while live.len() < self.window {
+            while self.live.len() < self.window {
                 match source.next() {
-                    Some(v) if !v.accesses.is_empty() => live.push_back((v, 0, false)),
+                    Some(&s) if s.start < s.end => self.live.push(s),
                     Some(_) => continue,
                     None => break,
                 }
             }
-            if live.is_empty() {
+            if self.live.is_empty() {
                 break;
             }
             // Pick which live visit advances: geometric preference for the
             // oldest so global order roughly follows visit order.
             let mut idx = 0;
-            while idx + 1 < live.len() && rng.gen_bool(self.mix) {
+            while idx + 1 < self.live.len() && rng.gen_bool(self.mix) {
                 idx += 1;
             }
-            let (visit, cursor, started) = &mut live[idx];
-            let acc = visit.accesses[*cursor];
-            let dep = if !*started && visit.dependent {
+            let visit = &mut self.live[idx];
+            let acc = visits.accesses[visit.start];
+            let dep = if visit.dependent {
                 Dependence::OnPrevAccess
             } else {
                 Dependence::Independent
             };
-            *started = true;
             let addr = Addr::new(
                 visit
                     .region
@@ -155,11 +177,14 @@ impl Interleaver {
                 dep,
                 work_before: acc.work,
             });
-            *cursor += 1;
-            if *cursor == visit.accesses.len() {
-                live.remove(idx);
+            visit.dependent = false;
+            visit.start += 1;
+            if visit.start == visit.end {
+                self.live.remove(idx);
             }
         }
+        visits.accesses.clear();
+        visits.spans.clear();
     }
 }
 
@@ -172,32 +197,44 @@ pub fn rng(seed: u64) -> StdRng {
 mod tests {
     use super::*;
 
-    fn visit(region: u64, n: u8) -> Visit {
-        Visit::simple(
+    fn visit(visits: &mut Visits, region: u64, n: u8, dependent: bool) {
+        visits.push(
             RegionAddr::new(region),
-            &(0..n).map(|o| (o, 0x400 + o as u64)).collect::<Vec<_>>(),
-            3,
-        )
+            dependent,
+            (0..n).map(|o| VisitAccess {
+                offset: o,
+                pc: 0x400 + o as u64,
+                write: false,
+                work: 3,
+            }),
+        );
     }
 
     #[test]
     fn window_one_preserves_order() {
         let mut t = Trace::new();
         let mut r = rng(1);
-        Interleaver::new(1, 0.5).emit(vec![visit(1, 3), visit(2, 2)], &mut r, &mut t);
+        let mut visits = Visits::new();
+        visit(&mut visits, 1, 3, false);
+        visit(&mut visits, 2, 2, false);
+        let mut interleaver = Interleaver::new(1, 0.5);
+        interleaver.drain(&mut visits, &mut r, &mut t);
         let regions: Vec<u64> = t.iter().map(|a| a.addr.region().get()).collect();
         assert_eq!(regions, [1, 1, 1, 2, 2]);
+        // The batch is empty afterwards: draining it again emits nothing.
+        interleaver.drain(&mut visits, &mut r, &mut t);
+        assert_eq!(t.len(), 5);
     }
 
     #[test]
     fn interleaving_mixes_but_preserves_within_region_order() {
         let mut t = Trace::new();
         let mut r = rng(7);
-        Interleaver::new(3, 0.5).emit(
-            (0..20).map(|i| visit(i, 4)).collect::<Vec<_>>(),
-            &mut r,
-            &mut t,
-        );
+        let mut visits = Visits::new();
+        for i in 0..20 {
+            visit(&mut visits, i, 4, false);
+        }
+        Interleaver::new(3, 0.5).drain(&mut visits, &mut r, &mut t);
         assert_eq!(t.len(), 80);
         // Within each region the offsets must appear in order.
         use std::collections::HashMap;
@@ -223,8 +260,9 @@ mod tests {
     fn dependence_marks_only_first_access_of_chained_visit() {
         let mut t = Trace::new();
         let mut r = rng(3);
-        let v = visit(5, 3).chained();
-        Interleaver::new(1, 0.0).emit(vec![v], &mut r, &mut t);
+        let mut visits = Visits::new();
+        visit(&mut visits, 5, 3, true);
+        Interleaver::new(1, 0.0).drain(&mut visits, &mut r, &mut t);
         let deps: Vec<Dependence> = t.iter().map(|a| a.dep).collect();
         assert_eq!(
             deps,
@@ -250,12 +288,11 @@ mod tests {
     fn empty_visits_are_skipped() {
         let mut t = Trace::new();
         let mut r = rng(1);
-        let empty = Visit {
-            region: RegionAddr::new(1),
-            accesses: vec![],
-            dependent: false,
-        };
-        Interleaver::new(2, 0.3).emit(vec![empty, visit(2, 2)], &mut r, &mut t);
+        let mut visits = Visits::new();
+        visit(&mut visits, 1, 0, true);
+        visit(&mut visits, 2, 2, false);
+        Interleaver::new(2, 0.3).drain(&mut visits, &mut r, &mut t);
         assert_eq!(t.len(), 2);
+        assert_eq!(t.as_slice()[0].dep, Dependence::Independent);
     }
 }

@@ -23,7 +23,7 @@ use rand::Rng;
 use stems_trace::Trace;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, Visit, VisitAccess};
+use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
 
 /// Tuning knobs for a template workload.
 #[derive(Clone, Debug)]
@@ -166,10 +166,12 @@ const FRESH_SALT: u64 = 3;
 /// Fresh/cold pages live in their own huge spaces above the hot pool.
 const FRESH_SPACE: u64 = 1 << 34;
 
+/// One page visit of a transaction template. Its record offsets are
+/// `record_offsets` consecutive entries of the shared offset array,
+/// starting at the step's index times `record_offsets`.
 struct TemplateStep {
     page: u64,
     table: usize,
-    record_offsets: Vec<u8>,
 }
 
 /// Generates the trace for a template workload.
@@ -191,60 +193,64 @@ pub fn generate(params: &CommercialParams, seed: u64) -> Trace {
         .collect();
 
     // Build templates: fixed page sequences with fixed per-step record
-    // offsets (so the miss sequence repeats temporally).
-    let templates: Vec<Vec<TemplateStep>> = (0..params.templates)
-        .map(|t| {
-            (0..params.template_len)
-                .map(|j| {
-                    let key = (t * params.template_len + j) as u64;
-                    let page =
-                        splitmix(key.wrapping_mul(31).wrapping_add(seed)) % params.hot_regions;
-                    let table = (splitmix(key ^ 0xABCD) % params.tables as u64) as usize;
-                    let record_offsets = (0..params.record_offsets)
-                        .map(|k| (4 + (splitmix(key ^ (k as u64 + 1)) % 28)) as u8)
-                        .collect();
-                    TemplateStep {
-                        page,
-                        table,
-                        record_offsets,
-                    }
-                })
-                .collect()
+    // offsets (so the miss sequence repeats temporally). Template `t`'s
+    // steps are `steps[t * template_len..][..template_len]`.
+    let step_count = params.templates * params.template_len;
+    let steps: Vec<TemplateStep> = (0..step_count as u64)
+        .map(|key| TemplateStep {
+            page: splitmix(key.wrapping_mul(31).wrapping_add(seed)) % params.hot_regions,
+            table: (splitmix(key ^ 0xABCD) % params.tables as u64) as usize,
+        })
+        .collect();
+    let record_offsets: Vec<u8> = (0..step_count as u64)
+        .flat_map(|key| {
+            (0..params.record_offsets as u64)
+                .map(move |k| (4 + (splitmix(key ^ (k + 1)) % 28)) as u8)
         })
         .collect();
 
     let executions = params.visits / params.template_len.max(1);
     let mut fresh_counter: u64 = 0;
-    let interleaver = Interleaver::new(params.window, params.mix);
+    let mut interleaver = Interleaver::new(params.window, params.mix);
+    // One execution's body and noise visits; drained and reused by every
+    // execution.
+    let mut visits = Visits::new();
+    let mut noise = Visits::new();
     for _ in 0..executions {
         let t = if r.gen_bool(params.hot_template_frac) {
             r.gen_range(0..params.hot_templates.min(params.templates))
         } else {
             r.gen_range(0..params.templates)
         };
-        let mut visits: Vec<Visit> = Vec::new();
-        let mut noise: Vec<Visit> = Vec::new();
-        for step in &templates[t] {
+        let first = t * params.template_len;
+        for (i, step) in steps[first..first + params.template_len].iter().enumerate() {
             if r.gen_bool(params.glitch_skip) {
                 continue;
             }
-            visits.push(template_visit(params, &layouts, step, &mut r));
+            let records =
+                &record_offsets[(first + i) * params.record_offsets..][..params.record_offsets];
+            template_visit(params, &layouts, step, records, &mut r, &mut visits);
             if r.gen_bool(params.volatile_prob) {
                 // A volatile touch of the page at a fresh random offset:
                 // predictable by neither technique. Emitted outside the
                 // deterministic interleave so the repeating body's global
                 // order is undisturbed.
-                noise.push(Visit::simple(
+                noise.push(
                     scatter(step.page, HOT_SALT, params.hot_regions * 16),
-                    &[(r.gen_range(1..32), table_pc(step.table, 28))],
-                    8,
-                ));
+                    false,
+                    [VisitAccess {
+                        offset: r.gen_range(1..32),
+                        pc: table_pc(step.table, 28),
+                        write: false,
+                        work: 8,
+                    }],
+                );
             }
             if r.gen_bool(params.fresh_prob) {
-                noise.push(fresh_visit(params, &layouts, &mut fresh_counter));
+                fresh_visit(&layouts, &mut fresh_counter, &mut noise);
             }
             if r.gen_bool(params.random_prob) {
-                noise.push(random_visit(params, &mut r));
+                random_visit(params, &mut r, &mut noise);
             }
         }
         // The interleaving of concurrent generations is a property of the
@@ -253,8 +259,8 @@ pub fn generate(params: &CommercialParams, seed: u64) -> Trace {
         // Noise visits (fresh pages, hash probes) follow the transaction
         // body so they do not perturb its repeating interleave pattern.
         let mut exec_rng = rng(splitmix(t as u64 ^ seed ^ 0x1EAF));
-        interleaver.emit(visits, &mut exec_rng, &mut trace);
-        interleaver.emit(noise, &mut r, &mut trace);
+        interleaver.drain(&mut visits, &mut exec_rng, &mut trace);
+        interleaver.drain(&mut noise, &mut r, &mut trace);
     }
     trace
 }
@@ -267,89 +273,83 @@ fn template_visit(
     params: &CommercialParams,
     layouts: &[Vec<u8>],
     step: &TemplateStep,
+    record_offsets: &[u8],
     r: &mut StdRng,
-) -> Visit {
+    visits: &mut Visits,
+) {
     let region = scatter(step.page, HOT_SALT, params.hot_regions * 16);
-    let mut accesses = Vec::new();
     let work = r.gen_range(params.work.0..=params.work.1);
-    for (field, &offset) in layouts[step.table].iter().enumerate() {
-        accesses.push(VisitAccess {
+    let dependent = r.gen_bool(params.dependent);
+    let layout = layouts[step.table]
+        .iter()
+        .enumerate()
+        .map(|(field, &offset)| VisitAccess {
             offset,
             pc: table_pc(step.table, field),
             write: false,
             work,
         });
-    }
     // Per-step record offsets: fixed across executions (temporal), but
     // different per template step (spatially unstable for the PC index).
     // Write/read is a fixed property of the step so the *read-miss*
     // sequence repeats too.
-    for (k, &offset) in step.record_offsets.iter().enumerate() {
+    let records = record_offsets.iter().enumerate().map(|(k, &offset)| {
         let write = (splitmix(step.page ^ ((k as u64 + 9) << 48)) % 1000) as f64 / 1000.0
             < params.write_prob;
-        accesses.push(VisitAccess {
+        VisitAccess {
             offset,
             pc: table_pc(step.table, 16 + k),
             write,
             work,
-        });
-    }
+        }
+    });
     // Page-idiosyncratic offset: a fixed function of the page, touched on
     // a fixed (per page) subset of visits — recurs temporally, never
     // stabilizes spatially.
-    if (splitmix(step.page ^ 0x1D_1055) % 1000) as f64 / 1000.0 < params.idio_prob {
-        let offset = (4 + (splitmix(step.page ^ 0x1D10) % 28)) as u8;
-        accesses.push(VisitAccess {
-            offset,
+    let idiosyncratic = ((splitmix(step.page ^ 0x1D_1055) % 1000) as f64 / 1000.0
+        < params.idio_prob)
+        .then(|| VisitAccess {
+            offset: (4 + (splitmix(step.page ^ 0x1D10) % 28)) as u8,
             pc: table_pc(step.table, 24),
             write: false,
             work,
         });
-    }
-
-    let mut v = Visit {
+    visits.push(
         region,
-        accesses,
-        dependent: false,
-    };
-    if r.gen_bool(params.dependent) {
-        v = v.chained();
-    }
-    v
+        dependent,
+        layout.chain(records).chain(idiosyncratic),
+    );
 }
 
-fn fresh_visit(_params: &CommercialParams, layouts: &[Vec<u8>], counter: &mut u64) -> Visit {
+fn fresh_visit(layouts: &[Vec<u8>], counter: &mut u64, visits: &mut Visits) {
     *counter += 1;
     // Never-seen region (compulsory), laid out like table 0 and touched by
     // table 0's code: spatially predictable, temporally impossible.
     let region = RegionAddr::new(FRESH_SPACE + scatter(*counter, FRESH_SALT, 1 << 24).get());
-    let parts: Vec<(u8, u64)> = layouts[0]
+    let accesses = layouts[0]
         .iter()
         .enumerate()
-        .map(|(field, &o)| (o, table_pc(0, field)))
-        .collect();
-    Visit::simple(region, &parts, 10)
+        .map(|(field, &offset)| VisitAccess {
+            offset,
+            pc: table_pc(0, field),
+            write: false,
+            work: 10,
+        });
+    visits.push(region, false, accesses);
 }
 
-fn random_visit(params: &CommercialParams, r: &mut StdRng) -> Visit {
+fn random_visit(params: &CommercialParams, r: &mut StdRng, visits: &mut Visits) {
     // Unpredictable: random cold page, random offsets, from a pool of
     // "miscellaneous" PCs.
     let region = scatter(r.gen::<u64>(), COLD_SALT, params.cold_regions);
     let n = r.gen_range(1..=3);
-    let mut accesses = Vec::new();
-    for _ in 0..n {
-        accesses.push(VisitAccess {
-            offset: r.gen_range(0..32),
-            pc: 0x80_0000 + r.gen_range(0u64..64) * 4,
-            write: r.gen_bool(0.1),
-            work: r.gen_range(params.work.0..=params.work.1),
-        });
-    }
-    Visit {
-        region,
-        accesses,
-        dependent: true,
-    }
+    let accesses = (0..n).map(|_| VisitAccess {
+        offset: r.gen_range(0..32),
+        pc: 0x80_0000 + r.gen_range(0u64..64) * 4,
+        write: r.gen_bool(0.1),
+        work: r.gen_range(params.work.0..=params.work.1),
+    });
+    visits.push(region, true, accesses);
 }
 
 #[cfg(test)]

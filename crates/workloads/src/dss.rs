@@ -13,7 +13,7 @@ use rand::Rng;
 use stems_trace::Trace;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, Visit, VisitAccess};
+use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
 
 /// Tuning knobs for a DSS query.
 #[derive(Clone, Debug)]
@@ -92,23 +92,32 @@ const JOIN_SALT: u64 = 11;
 /// Generates the trace for a DSS query.
 pub fn generate(params: &DssParams, seed: u64) -> Trace {
     let mut r = rng(seed);
-    let mut trace = Trace::with_capacity(params.scan_regions as usize * 12);
 
     // The shared page layout: offset 0 header + stable tuple offsets.
     let layout: Vec<u8> = std::iter::once(0u8)
         .chain((0..params.layout_offsets).map(|k| (1 + (splitmix(k as u64 + 77) % 30)) as u8))
         .collect();
 
-    let mut visits: Vec<Visit> = Vec::new();
+    // The whole query is one batch: every page's visit, and at most one
+    // two-access join probe after each. Both it and the trace are sized
+    // for that bound, so neither grows.
+    let pages = params.scan_regions as usize;
+    let most_accesses = pages * (layout.len() + params.noise_offsets + 2);
+    let mut visits = Visits::with_capacity(2 * pages, most_accesses);
+    let mut trace = Trace::with_capacity(most_accesses);
+    // One page's offsets, refilled per page.
+    let mut offsets: Vec<u8> = Vec::with_capacity(layout.len() + params.noise_offsets);
     for page in 0..params.scan_regions {
         // Scan pages are fresh: scattered placement in their own space.
         let region = RegionAddr::new(SCAN_SPACE + scatter(page, seed ^ 5, 1 << 26).get());
-        let mut offsets: Vec<u8> = layout
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i == 0 || !r.gen_bool(params.skip_prob))
-            .map(|(_, &o)| o)
-            .collect();
+        offsets.clear();
+        offsets.extend(
+            layout
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i == 0 || !r.gen_bool(params.skip_prob))
+                .map(|(_, &o)| o),
+        );
         // Page-specific noise tuples (spatially unpredictable).
         for k in 0..params.noise_offsets {
             let o = (1 + (splitmix(page ^ ((k as u64 + 3) << 40)) % 31)) as u8;
@@ -124,28 +133,20 @@ pub fn generate(params: &DssParams, seed: u64) -> Trace {
             }
         }
         let work = r.gen_range(params.work.0..=params.work.1);
-        let accesses: Vec<VisitAccess> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, &offset)| VisitAccess {
-                offset,
-                pc: 0x50_0000 + (i as u64) * 4,
-                write: false,
-                work,
-            })
-            .collect();
-        visits.push(Visit {
-            region,
-            accesses,
-            dependent: false,
+        let accesses = offsets.iter().enumerate().map(|(i, &offset)| VisitAccess {
+            offset,
+            pc: 0x50_0000 + (i as u64) * 4,
+            write: false,
+            work,
         });
+        visits.push(region, false, accesses);
 
         if r.gen_bool(params.join_prob) {
             // Inner-table probe: revisits a bounded set of regions
             // (mostly L2-resident unless the inner table is large).
             let inner = scatter(r.gen_range(0..params.join_regions), JOIN_SALT, 1 << 22);
             let base = (splitmix(inner.get()) % 28) as u8;
-            let accesses = vec![
+            let accesses = [
                 VisitAccess {
                     offset: base,
                     pc: 0x51_0000,
@@ -159,14 +160,10 @@ pub fn generate(params: &DssParams, seed: u64) -> Trace {
                     work: 8,
                 },
             ];
-            visits.push(Visit {
-                region: inner,
-                accesses,
-                dependent: true,
-            });
+            visits.push(inner, true, accesses);
         }
     }
-    Interleaver::new(params.window, params.mix).emit(visits, &mut r, &mut trace);
+    Interleaver::new(params.window, params.mix).drain(&mut visits, &mut r, &mut trace);
     trace
 }
 

@@ -26,7 +26,7 @@ pub mod sci;
 
 use stems_trace::Trace;
 
-pub use build::{Interleaver, Visit, VisitAccess};
+pub use build::{Interleaver, VisitAccess, Visits};
 pub use capture::{capture_into, capture_to_path, trace_file_name};
 pub use commercial::CommercialParams;
 pub use dss::DssParams;

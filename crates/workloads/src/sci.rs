@@ -10,7 +10,7 @@ use rand::Rng;
 use stems_trace::Trace;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, Visit, VisitAccess};
+use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
 
 /// em3d: electromagnetic wave propagation on an irregular bipartite graph
 /// (3M nodes in the paper; scaled here so one iteration exceeds the L2).
@@ -54,33 +54,34 @@ impl Em3dParams {
 /// Generates the em3d trace.
 pub fn em3d(params: &Em3dParams, seed: u64) -> Trace {
     let mut r = rng(seed);
-    let mut trace = Trace::with_capacity(params.nodes as usize * params.iterations * 2);
+    let per_iteration: usize = (0..params.nodes).map(|n| node_extent(n) as usize).sum();
+    let mut trace = Trace::with_capacity(per_iteration * params.iterations);
+    let mut interleaver = Interleaver::new(1, 0.0);
+    let mut visits = Visits::new();
     for _ in 0..params.iterations {
-        let mut visits = Vec::with_capacity(params.nodes as usize);
         for n in 0..params.nodes {
             // Node placement and extent are fixed functions of the node:
             // identical across iterations (perfect temporal repetition).
             let region = scatter(n, seed ^ 21, 1 << 24);
             let trigger = (splitmix(n ^ 0xE3D) % 29) as u8;
-            let extent = 1 + (splitmix(n ^ 0x7A11) % 3) as u8; // 1-3 blocks
             let work = r.gen_range(params.work.0..=params.work.1);
-            let accesses = (0..extent)
-                .map(|k| VisitAccess {
-                    offset: trigger + k,
-                    pc: 0x60_0000 + k as u64 * 4,
-                    write: k == 0 && n % 7 == 0,
-                    work,
-                })
-                .collect();
-            visits.push(Visit {
-                region,
-                accesses,
-                dependent: true, // pointer chase through the node list
+            let accesses = (0..node_extent(n)).map(|k| VisitAccess {
+                offset: trigger + k,
+                pc: 0x60_0000 + k as u64 * 4,
+                write: k == 0 && n % 7 == 0,
+                work,
             });
+            // Dependent: a pointer chase through the node list.
+            visits.push(region, true, accesses);
         }
-        Interleaver::new(1, 0.0).emit(visits, &mut r, &mut trace);
+        interleaver.drain(&mut visits, &mut r, &mut trace);
     }
     trace
+}
+
+/// The blocks an em3d node spans: 1 to 3, a fixed function of the node.
+fn node_extent(n: u64) -> u8 {
+    1 + (splitmix(n ^ 0x7A11) % 3) as u8
 }
 
 /// ocean: regular grid relaxation (1026x1026 in the paper).
@@ -121,35 +122,30 @@ pub fn ocean(params: &OceanParams, seed: u64) -> Trace {
     let mut trace = Trace::with_capacity(params.grid_regions as usize * 32 * params.sweeps * 2);
     // Two arrays at fixed contiguous bases (grids are contiguous memory).
     let bases = [1u64 << 24, 1u64 << 25];
-    for sweep in 0..params.sweeps {
-        let mut visits = Vec::new();
+    let mut interleaver = Interleaver::new(2, 0.4);
+    let mut visits = Visits::new();
+    // Placement and kinds are identical every sweep.
+    for _ in 0..params.sweeps {
         for g in 0..params.grid_regions {
             for (a, &base) in bases.iter().enumerate() {
                 let region = RegionAddr::new(base + g);
                 let work = r.gen_range(params.work.0..=params.work.1);
-                let _ = sweep; // placement and kinds identical every sweep
-                let accesses = (0..32u8)
-                    .map(|k| VisitAccess {
-                        offset: k,
-                        pc: 0x70_0000 + a as u64 * 0x100,
-                        // A fixed subset of the second array is written,
-                        // so the read-miss sequence repeats across sweeps.
-                        write: a == 1 && k % 8 == 7,
-                        work,
-                    })
-                    .collect();
-                visits.push(Visit {
-                    region,
-                    accesses,
-                    dependent: false,
+                let accesses = (0..32u8).map(|k| VisitAccess {
+                    offset: k,
+                    pc: 0x70_0000 + a as u64 * 0x100,
+                    // A fixed subset of the second array is written,
+                    // so the read-miss sequence repeats across sweeps.
+                    write: a == 1 && k % 8 == 7,
+                    work,
                 });
+                visits.push(region, false, accesses);
             }
         }
         // The interleaver RNG resets every sweep so the global access
         // order repeats exactly across sweeps (TMS is near-perfect on
         // scientific kernels, Section 5.2).
         let mut sweep_rng = rng(seed ^ 0x0CEA);
-        Interleaver::new(2, 0.4).emit(visits, &mut sweep_rng, &mut trace);
+        interleaver.drain(&mut visits, &mut sweep_rng, &mut trace);
     }
     trace
 }
@@ -203,25 +199,20 @@ pub fn sparse(params: &SparseParams, seed: u64) -> Trace {
         params.matrix_regions as usize * (16 + params.gathers_per_region * 3) * params.iterations,
     );
     let matrix_base = 1u64 << 26;
-    for iter in 0..params.iterations {
-        let mut visits = Vec::new();
+    let mut interleaver = Interleaver::new(2, 0.3);
+    let mut visits = Visits::new();
+    for _ in 0..params.iterations {
         for m in 0..params.matrix_regions {
             // Matrix rows: 16 sequential blocks per region (values +
             // column indices), same order every iteration.
             let work = r.gen_range(params.work.0..=params.work.1);
-            let accesses = (0..16u8)
-                .map(|k| VisitAccess {
-                    offset: k * 2,
-                    pc: 0x75_0000 + (k as u64 % 4) * 4,
-                    write: false,
-                    work,
-                })
-                .collect();
-            visits.push(Visit {
-                region: RegionAddr::new(matrix_base + m),
-                accesses,
-                dependent: false,
+            let accesses = (0..16u8).map(|k| VisitAccess {
+                offset: k * 2,
+                pc: 0x75_0000 + (k as u64 % 4) * 4,
+                write: false,
+                work,
             });
+            visits.push(RegionAddr::new(matrix_base + m), false, accesses);
             // Gather clusters: fixed x-regions and offsets per matrix
             // region, but the within-region *order* toggles with
             // iteration parity.
@@ -236,27 +227,20 @@ pub fn sparse(params: &SparseParams, seed: u64) -> Trace {
                     // the shared PST entry sees two delta sequences.
                     offsets.reverse();
                 }
-                let accesses = offsets
-                    .iter()
-                    .map(|&offset| VisitAccess {
-                        offset,
-                        pc: 0x76_0000 + gather as u64 * 4,
-                        write: false,
-                        work: 4,
-                    })
-                    .collect();
-                visits.push(Visit {
-                    region: x_region,
-                    accesses,
-                    dependent: true, // address from the column-index load
+                let accesses = offsets.map(|offset| VisitAccess {
+                    offset,
+                    pc: 0x76_0000 + gather as u64 * 4,
+                    write: false,
+                    work: 4,
                 });
+                // Dependent: the address comes from the column-index load.
+                visits.push(x_region, true, accesses);
             }
         }
         // Deterministic per-iteration interleaving: the global order
         // repeats exactly across iterations.
         let mut iter_rng = rng(seed ^ 0x59A);
-        let _ = (iter, &mut r);
-        Interleaver::new(2, 0.3).emit(visits, &mut iter_rng, &mut trace);
+        interleaver.drain(&mut visits, &mut iter_rng, &mut trace);
     }
     trace
 }

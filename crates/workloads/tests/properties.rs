@@ -1,15 +1,95 @@
 //! Property-based tests of the workload generators and interleaver.
 
 use proptest::prelude::*;
+use rand::Rng;
 
 use stems_trace::Trace;
 use stems_types::RegionAddr;
-use stems_workloads::build::{rng, Interleaver, Visit};
+use stems_workloads::build::{rng, Interleaver, VisitAccess, Visits};
 use stems_workloads::Workload;
 
-fn visit(region: u64, len: u8) -> Visit {
-    let parts: Vec<(u8, u64)> = (0..len.clamp(1, 31)).map(|o| (o, 0x400)).collect();
-    Visit::simple(RegionAddr::new(region), &parts, 2)
+/// The interleaver as it was when every visit owned its access vector
+/// and live visits moved through a `VecDeque`: the reference the
+/// span-based [`Interleaver::drain`] must reproduce access for access
+/// and random draw for random draw.
+mod reference {
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use std::collections::VecDeque;
+
+    use stems_trace::{Access, AccessKind, Dependence, Trace};
+    use stems_types::{Addr, BlockOffset, Pc, RegionAddr};
+    use stems_workloads::VisitAccess;
+
+    pub struct Visit {
+        pub region: RegionAddr,
+        pub accesses: Vec<VisitAccess>,
+        pub dependent: bool,
+    }
+
+    pub fn emit(window: usize, mix: f64, visits: Vec<Visit>, rng: &mut StdRng, trace: &mut Trace) {
+        let mut source = visits.into_iter();
+        let mut live: VecDeque<(Visit, usize, bool)> = VecDeque::new();
+        loop {
+            while live.len() < window {
+                match source.next() {
+                    Some(v) if !v.accesses.is_empty() => live.push_back((v, 0, false)),
+                    Some(_) => continue,
+                    None => break,
+                }
+            }
+            if live.is_empty() {
+                break;
+            }
+            let mut idx = 0;
+            while idx + 1 < live.len() && rng.gen_bool(mix) {
+                idx += 1;
+            }
+            let (visit, cursor, started) = &mut live[idx];
+            let acc = visit.accesses[*cursor];
+            let dep = if !*started && visit.dependent {
+                Dependence::OnPrevAccess
+            } else {
+                Dependence::Independent
+            };
+            *started = true;
+            let addr = Addr::new(
+                visit
+                    .region
+                    .block_at(BlockOffset::new(acc.offset))
+                    .base()
+                    .get(),
+            );
+            trace.push(Access {
+                pc: Pc::new(acc.pc),
+                addr,
+                kind: if acc.write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                dep,
+                work_before: acc.work,
+            });
+            *cursor += 1;
+            if *cursor == visit.accesses.len() {
+                live.remove(idx);
+            }
+        }
+    }
+}
+
+/// The accesses of a random visit: `len` of them, their fields spread
+/// from the bits of `bits`.
+fn random_accesses(len: u8, bits: u64) -> Vec<VisitAccess> {
+    (0..len as u64)
+        .map(|k| VisitAccess {
+            offset: ((bits >> (5 * k)) & 31) as u8,
+            pc: 0x400 + 4 * k,
+            write: (bits >> (40 + k)) & 1 == 1,
+            work: (bits >> 48) as u16 ^ k as u16,
+        })
+        .collect()
 }
 
 proptest! {
@@ -22,15 +102,20 @@ proptest! {
         window in 1usize..5,
         seed in 0u64..1000,
     ) {
-        let visits: Vec<Visit> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| visit(i as u64, l))
-            .collect();
-        let expected: usize = visits.iter().map(|v| v.accesses.len()).sum();
+        let mut visits = Visits::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let accesses = (0..len.clamp(1, 31)).map(|offset| VisitAccess {
+                offset,
+                pc: 0x400,
+                write: false,
+                work: 2,
+            });
+            visits.push(RegionAddr::new(i as u64), false, accesses);
+        }
+        let expected: usize = lens.iter().map(|&l| l as usize).sum();
         let mut trace = Trace::new();
         let mut r = rng(seed);
-        Interleaver::new(window, 0.4).emit(visits, &mut r, &mut trace);
+        Interleaver::new(window, 0.4).drain(&mut visits, &mut r, &mut trace);
         prop_assert_eq!(trace.len(), expected);
         // Per-region offsets must be strictly increasing (original order).
         let mut last: std::collections::HashMap<u64, i32> =
@@ -40,6 +125,39 @@ proptest! {
             let off = a.addr.block().offset_in_region().get() as i32;
             let prev = last.insert(region, off).unwrap_or(-1);
             prop_assert!(off > prev, "visit-internal order violated");
+        }
+    }
+
+    /// One interleaver draining batch after batch emits exactly what the
+    /// reference emits for the same batches, and draws the same random
+    /// numbers: empty visits, pointer-chased visits and repeated regions
+    /// included, at windows 1 to 4 and mix 0, 0.3 and 1.
+    #[test]
+    fn interleaver_matches_the_reference(
+        specs in proptest::collection::vec((0u8..6, any::<bool>(), 0u64..8, any::<u64>()), 0..40),
+        split in 0usize..40,
+        window in 1usize..5,
+        mix in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mix = [0.0, 0.3, 1.0][mix];
+        let split = split.min(specs.len());
+        let mut interleaver = Interleaver::new(window, mix);
+        let (mut r_new, mut r_ref) = (rng(seed), rng(seed));
+        let (mut t_new, mut t_ref) = (Trace::new(), Trace::new());
+        let mut visits = Visits::new();
+        for batch in [&specs[..split], &specs[split..]] {
+            let mut reference = Vec::new();
+            for &(len, dependent, region, bits) in batch {
+                let accesses = random_accesses(len, bits);
+                let region = RegionAddr::new(region);
+                visits.push(region, dependent, accesses.iter().copied());
+                reference.push(reference::Visit { region, accesses, dependent });
+            }
+            interleaver.drain(&mut visits, &mut r_new, &mut t_new);
+            reference::emit(window, mix, reference, &mut r_ref, &mut t_ref);
+            prop_assert_eq!(&t_new, &t_ref);
+            prop_assert_eq!(r_new.gen::<u64>(), r_ref.gen::<u64>(), "random draws diverged");
         }
     }
 
