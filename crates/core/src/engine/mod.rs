@@ -144,7 +144,7 @@ impl Prefetcher for NullPrefetcher {
 
     /// The un-prefetched baseline does nothing on any access; letting the
     /// engine skip L1 hits entirely makes this run measure the raw
-    /// hierarchy cost (the `none` throughput ceiling in BENCH_harness).
+    /// hierarchy cost (perfbench's `ladder.none` rung).
     fn observes_l1_hits(&self) -> bool {
         false
     }

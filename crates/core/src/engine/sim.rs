@@ -62,7 +62,7 @@ impl Counters {
 }
 
 /// Injects coherence invalidations, standing in for the write traffic of
-/// the other 15 nodes of the paper's multiprocessor (see DESIGN.md §2).
+/// the other 15 nodes of the paper's 16-node multiprocessor (its Table 1).
 ///
 /// Every access, with probability `rate`, one recently touched block is
 /// invalidated from the L1/L2/SVB — ending any spatial generation covering

@@ -207,8 +207,8 @@ impl AnyPrefetcher {
     }
 
     /// Total PST key probes issued so far, when this is the STeMS
-    /// predictor (the counter behind the bench harness's
-    /// `pst_probes_per_access` diagnostic rows).
+    /// predictor (the counter behind perfbench's
+    /// `stems.pst.probes_per_acc` row).
     pub fn pst_probes(&self) -> Option<u64> {
         match self {
             AnyPrefetcher::Stems(p) => Some(p.pst().probes()),

@@ -460,8 +460,8 @@ impl Pst {
 
     /// Total key probes issued against the slot array (lookups, peeks
     /// and trainings), regardless of probe-chain length. Divided by
-    /// simulated accesses this is the `pst_probes_per_access` diagnostic
-    /// the bench harness reports.
+    /// simulated accesses this is perfbench's `stems.pst.probes_per_acc`
+    /// row.
     pub fn probes(&self) -> u64 {
         self.probes.get()
     }

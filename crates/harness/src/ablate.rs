@@ -1,4 +1,5 @@
-//! Ablation studies over STeMS's design parameters (DESIGN.md §4).
+//! Ablation studies over STeMS's design parameters (the "Ablation:"
+//! sections of `EXPERIMENTS.md`).
 //!
 //! The paper fixes one hardware point (Section 4.3); these sweeps show
 //! *why* that point was chosen by varying one knob at a time on an OLTP

@@ -1,4 +1,5 @@
-//! Runs the STeMS design-parameter ablation sweeps (DESIGN.md §4).
+//! Runs the STeMS design-parameter ablation sweeps (the "Ablation:"
+//! sections of `EXPERIMENTS.md`).
 
 fn main() {
     let settings = stems_harness::Settings::from_env();

@@ -1,4 +1,4 @@
-//! Regenerates fig10 of the evaluation (see DESIGN.md §4).
+//! Regenerates fig10 of the evaluation (`EXPERIMENTS.md`, "Figure 10").
 
 fn main() {
     let settings = stems_harness::Settings::from_env();

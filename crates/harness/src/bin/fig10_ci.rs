@@ -3,7 +3,7 @@
 
 use std::process::ExitCode;
 
-use stems_harness::Settings;
+use stems_harness::{Args, Flag, Settings};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,28 +22,25 @@ fn main() -> ExitCode {
     }
 }
 
+/// The shared settings' flags plus `--seeds`.
+const FLAGS: [Flag; 5] = [
+    Flag::Value("--scale"),
+    Flag::Value("--seed"),
+    Flag::Value("--threads"),
+    Flag::Value("--trace-dir"),
+    Flag::Value("--seeds"),
+];
+
 /// Parses the shared settings and `--seeds n` (n at least 1, default 3).
 /// An unknown flag, a stray argument, a missing or malformed value, or a
 /// zero count is an error naming it.
 fn parse_args(args: &[String]) -> Result<(Settings, usize), String> {
-    let settings = Settings::from_args_strict(args.iter().cloned(), &["--seeds"])?;
-    let mut seeds = 3;
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        if flag == "--seeds" {
-            let v = args
-                .next()
-                .filter(|v| !v.starts_with("--"))
-                .ok_or("--seeds needs a value")?;
-            seeds = v
-                .parse()
-                .map_err(|_| format!("--seeds: cannot parse {v:?}"))?;
-        }
-    }
+    let args = Args::parse(args.iter().cloned(), &FLAGS)?;
+    let seeds = args.value("--seeds")?.unwrap_or(3);
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    Ok((settings, seeds))
+    Ok((args.settings, seeds))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Regenerates fig8 of the evaluation (see DESIGN.md §4).
+//! Regenerates fig8 of the evaluation (`EXPERIMENTS.md`, "Figure 8").
 
 fn main() {
     let settings = stems_harness::Settings::from_env();

@@ -1,4 +1,5 @@
-//! Regenerates recon_stats of the evaluation (see DESIGN.md §4).
+//! Regenerates recon_stats of the evaluation (`EXPERIMENTS.md`,
+//! "Section 4.3: reconstruction placement accuracy").
 
 fn main() {
     let settings = stems_harness::Settings::from_env();

@@ -1,4 +1,5 @@
-//! Regenerates table1 of the evaluation (see DESIGN.md §4).
+//! Regenerates table1 of the evaluation (`EXPERIMENTS.md`, "Table 1:
+//! system parameters" and "Table 1: applications").
 
 fn main() {
     let settings = stems_harness::Settings::from_env();

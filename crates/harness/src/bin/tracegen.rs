@@ -33,6 +33,12 @@
 //! `metrics --remote` scrapes a live daemon's observability registry
 //! (`docs/OBSERVABILITY.md`) and prints the text exposition; `--events`
 //! also drains the daemon's event ring as JSON-lines.
+//!
+//! Each subcommand takes its positional arguments first, then only the
+//! flags it uses. A usage error (an unknown subcommand, workload or
+//! predictor, a missing argument, a flag the subcommand does not take, or
+//! a missing or malformed value) exits with status 2; a failed run (I/O,
+//! a replay mismatch, a remote fault) exits with status 1.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -42,39 +48,179 @@ use stems_core::engine::Counters;
 use stems_harness::runner::{
     remote_open_request, replay_coverage, run_coverage, system_config, Predictor,
 };
-use stems_harness::{parallel_map, Settings};
+use stems_harness::{parallel_map, Args, Flag, Settings};
 use stems_trace::store::SyncPolicy;
 use stems_trace::{TraceReader, TraceStats};
 use stems_workloads::{capture_to_path, trace_file_name, Workload};
 
-fn workload_by_name(name: &str) -> Option<Workload> {
+use Flag::{Switch, Value};
+
+const SCALE: Flag = Value("--scale");
+const SEED: Flag = Value("--seed");
+const REMOTE: Flag = Value("--remote");
+const CAPTURE: &[Flag] = &[SCALE, SEED, Switch("--sync-every-frame")];
+const CAPTURE_ALL: &[Flag] = &[SCALE, SEED, Value("--threads")];
+const REPLAY: &[Flag] = &[
+    Value("--workload"),
+    Value("--predictor"),
+    SCALE,
+    REMOTE,
+    Value("--window"),
+    Switch("--retry"),
+    Value("--retry-seed"),
+];
+const VERIFY: &[Flag] = &[SCALE, SEED, Switch("--repair")];
+const METRICS: &[Flag] = &[REMOTE, Switch("--events")];
+
+/// Every subcommand: its name, its positional arguments, and the flags it
+/// takes.
+const COMMANDS: [(&str, &[&str], &[Flag]); 6] = [
+    ("capture", &["<workload>", "<file>"], CAPTURE),
+    ("capture-all", &["<dir>"], CAPTURE_ALL),
+    ("info", &["<file>"], &[]),
+    ("replay", &["<file>"], REPLAY),
+    ("verify", &["<workload>", "<file>"], VERIFY),
+    ("metrics", &[], METRICS),
+];
+
+const USAGE: &str = "\
+usage: tracegen capture <workload> <file> [--scale f] [--seed n] [--sync-every-frame]
+       tracegen capture-all <dir> [--scale f] [--seed n] [--threads n]
+       tracegen info <file>
+       tracegen replay <file> --workload <w> [--predictor <p>] [--scale f]
+                       [--remote HOST:PORT [--window n] [--retry [--retry-seed n]]]
+       tracegen verify <workload> <file> [--scale f] [--seed n] [--repair]
+       tracegen metrics --remote HOST:PORT [--events]";
+
+/// A parsed invocation: everything a subcommand needs to run.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// `capture <workload> <file>`, with the sync policy.
+    Capture(Workload, String, Settings, SyncPolicy),
+    /// `capture-all <dir>`.
+    CaptureAll(String, Settings),
+    /// `info <file>`.
+    Info(String),
+    /// `replay <file>`: the workload, predictor and scale, and where to
+    /// stream instead of replaying locally.
+    Replay(String, Workload, Predictor, f64, Option<Remote>),
+    /// `verify <workload> <file>`, and whether to repair the file first.
+    Verify(Workload, String, Settings, bool),
+    /// `metrics --remote <addr>`, and whether to drain the event ring.
+    Metrics(String, bool),
+}
+
+/// Where and how `replay --remote` streams.
+#[derive(Debug, PartialEq)]
+struct Remote {
+    addr: String,
+    window: usize,
+    policy: RetryPolicy,
+}
+
+/// Parses a whole argument list (without the program name) into a
+/// [`Command`]; every usage error is an `Err` naming what is wrong.
+fn parse_command(args: &[String]) -> Result<Command, String> {
+    let (name, rest) = args.split_first().ok_or("missing subcommand")?;
+    let (_, positional, flags) = COMMANDS
+        .iter()
+        .find(|(command, ..)| command == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    let given = rest.iter().take_while(|a| !a.starts_with("--")).count();
+    if given < positional.len() {
+        return Err(format!("{name} needs {}", positional[given..].join(" ")));
+    }
+    let (pos, rest) = rest.split_at(positional.len());
+    let args = Args::parse(rest.iter().cloned(), flags)?;
+    let settings = args.settings.clone();
+    Ok(match name.as_str() {
+        "capture" => {
+            let sync = if args.switch("--sync-every-frame") {
+                SyncPolicy::EveryFrame
+            } else {
+                SyncPolicy::OnFinish
+            };
+            Command::Capture(workload_by_name(&pos[0])?, pos[1].clone(), settings, sync)
+        }
+        "capture-all" => Command::CaptureAll(pos[0].clone(), settings),
+        "info" => Command::Info(pos[0].clone()),
+        "replay" => {
+            let workload = args.value::<String>("--workload")?.ok_or(
+                "replay needs --workload <name> (selects prefetch config + invalidation rate)",
+            )?;
+            let workload = workload_by_name(&workload)?;
+            let predictor = match args.value::<String>("--predictor")? {
+                Some(name) => name.parse().map_err(|e| format!("--predictor: {e}"))?,
+                None => Predictor::Stems,
+            };
+            let remote = remote_flags(&args)?;
+            Command::Replay(pos[0].clone(), workload, predictor, settings.scale, remote)
+        }
+        "verify" => {
+            let repair = args.switch("--repair");
+            Command::Verify(workload_by_name(&pos[0])?, pos[1].clone(), settings, repair)
+        }
+        _ => Command::Metrics(
+            args.value("--remote")?
+                .ok_or("metrics needs --remote HOST:PORT (a running stems-serve daemon)")?,
+            args.switch("--events"),
+        ),
+    })
+}
+
+fn workload_by_name(name: &str) -> Result<Workload, String> {
     Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            format!(
+                "unknown workload {name:?}; expected one of {}",
+                Workload::all().map(|w| w.name()).join(", ")
+            )
+        })
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tracegen capture <workload> <file> [--scale f] [--seed n] [--sync-every-frame]"
-    );
-    eprintln!("       tracegen capture-all <dir> [--scale f] [--seed n] [--threads n]");
-    eprintln!("       tracegen info <file>");
-    eprintln!("       tracegen replay <file> --workload <w> [--predictor <p>] [--scale f]");
-    eprintln!(
-        "                       [--remote HOST:PORT [--window n] [--retry [--retry-seed n]]]"
-    );
-    eprintln!("       tracegen verify <workload> <file> [--scale f] [--seed n] [--repair]");
-    eprintln!("       tracegen metrics --remote HOST:PORT [--events]");
-    ExitCode::FAILURE
-}
-
-/// Parses the shared `--scale`/`--seed`/`--threads`/`--trace-dir`
-/// flags; a missing or malformed value is reported with exit code 2.
-fn parse_settings(args: &[String]) -> Result<Settings, ExitCode> {
-    Settings::from_args(args.iter().cloned()).map_err(|e| {
-        eprintln!("tracegen: {e}");
-        ExitCode::from(2)
-    })
+/// Reads `replay`'s remote flags: `--remote HOST:PORT`, `--window n` (n
+/// at least 1, default 4) and `--retry [--retry-seed n]`. Without
+/// `--retry` the policy makes no retries. A zero window, `--retry-seed`
+/// without `--retry`, or `--window`/`--retry`/`--retry-seed` without
+/// `--remote` is an error naming the flag.
+fn remote_flags(args: &Args) -> Result<Option<Remote>, String> {
+    let window = args.value("--window")?.unwrap_or(4);
+    let retry = args.switch("--retry");
+    let seed = args.value("--retry-seed")?;
+    if window == 0 {
+        return Err("--window must be at least 1".into());
+    }
+    if seed.is_some() && !retry {
+        return Err("--retry-seed needs --retry".into());
+    }
+    let Some(addr) = args.value("--remote")? else {
+        return match ["--window", "--retry", "--retry-seed"]
+            .into_iter()
+            .find(|flag| args.switch(flag))
+        {
+            Some(flag) => Err(format!("{flag} needs --remote")),
+            None => Ok(None),
+        };
+    };
+    let default = RetryPolicy::default();
+    let policy = if retry {
+        RetryPolicy {
+            jitter_seed: seed.unwrap_or(default.jitter_seed),
+            ..default
+        }
+    } else {
+        RetryPolicy {
+            max_retries: 0,
+            ..default
+        }
+    };
+    Ok(Some(Remote {
+        addr,
+        window,
+        policy,
+    }))
 }
 
 fn counters_row(label: &str, c: &Counters) {
@@ -84,29 +230,12 @@ fn counters_row(label: &str, c: &Counters) {
     );
 }
 
-fn capture(args: &[String]) -> ExitCode {
-    let Some(workload) = workload_by_name(&args[0]) else {
-        eprintln!(
-            "unknown workload {:?}; expected one of {}",
-            args[0],
-            Workload::all().map(|w| w.name()).join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let settings = match parse_settings(&args[2..]) {
-        Ok(settings) => settings,
-        Err(code) => return code,
-    };
-    let sync = if args.iter().any(|a| a == "--sync-every-frame") {
-        SyncPolicy::EveryFrame
-    } else {
-        SyncPolicy::OnFinish
-    };
-    match capture_to_path(workload, settings.scale, settings.seed, &args[1], sync) {
+fn capture(workload: Workload, file: &str, settings: &Settings, sync: SyncPolicy) -> ExitCode {
+    match capture_to_path(workload, settings.scale, settings.seed, file, sync) {
         Ok(summary) => {
             println!(
-                "{}: {} records in {} frames (scale {}, seed {})",
-                args[1], summary.records, summary.frames, settings.scale, settings.seed
+                "{file}: {} records in {} frames (scale {}, seed {})",
+                summary.records, summary.frames, settings.scale, settings.seed
             );
             ExitCode::SUCCESS
         }
@@ -117,16 +246,12 @@ fn capture(args: &[String]) -> ExitCode {
     }
 }
 
-fn capture_all(args: &[String]) -> ExitCode {
-    let dir = Path::new(&args[0]);
+fn capture_all(dir: &str, settings: &Settings) -> ExitCode {
+    let dir = Path::new(dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    let settings = match parse_settings(&args[1..]) {
-        Ok(settings) => settings,
-        Err(code) => return code,
-    };
     let workloads = Workload::all();
     let results = parallel_map(&workloads, settings.effective_threads(), |w| {
         let path = dir.join(trace_file_name(*w));
@@ -181,43 +306,16 @@ fn info(path: &str) -> ExitCode {
     }
 }
 
-fn arg_after<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-}
-
-fn replay(args: &[String]) -> ExitCode {
-    let path = &args[0];
-    let Some(workload) = arg_after(args, "--workload").and_then(|n| workload_by_name(n)) else {
-        eprintln!("replay needs --workload <name> (selects prefetch config + invalidation rate)");
-        return ExitCode::FAILURE;
-    };
-    let predictor = match arg_after(args, "--predictor") {
-        Some(name) => match name.parse::<Predictor>() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Predictor::Stems,
-    };
-    let settings = match parse_settings(&args[1..]) {
-        Ok(settings) => settings,
-        Err(code) => return code,
-    };
-    let sys = system_config(settings.scale);
-    if let Some(addr) = arg_after(args, "--remote") {
-        return match remote_flags(args) {
-            Ok((window, policy)) => {
-                remote_replay(path, workload, predictor, &sys, addr, window, policy)
-            }
-            Err(e) => {
-                eprintln!("tracegen: {e}");
-                ExitCode::from(2)
-            }
-        };
+fn replay(
+    path: &str,
+    workload: Workload,
+    predictor: Predictor,
+    scale: f64,
+    remote: Option<&Remote>,
+) -> ExitCode {
+    let sys = system_config(scale);
+    if let Some(remote) = remote {
+        return remote_replay(path, workload, predictor, &sys, remote);
     }
     match replay_coverage(workload, predictor, path, &sys) {
         Ok((counters, fed)) => {
@@ -232,69 +330,21 @@ fn replay(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses `replay --remote`'s own flags: `--window n` (n at least 1,
-/// default 4) and `--retry [--retry-seed n]`. Without `--retry` the
-/// policy makes no retries. A missing or malformed value, a zero
-/// window, or `--retry-seed` without `--retry` is an error naming the
-/// flag; other arguments are skipped.
-fn remote_flags(args: &[String]) -> Result<(usize, RetryPolicy), String> {
-    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-        let v = v
-            .filter(|v| !v.starts_with("--"))
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
-    }
-    let (mut window, mut retry, mut seed) = (4, false, None);
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--window" => window = value(flag, args.next())?,
-            "--retry" => retry = true,
-            "--retry-seed" => seed = Some(value(flag, args.next())?),
-            _ => {}
-        }
-    }
-    let default = RetryPolicy::default();
-    match (retry, seed) {
-        _ if window == 0 => Err("--window must be at least 1".into()),
-        (false, Some(_)) => Err("--retry-seed needs --retry".into()),
-        (false, None) => Ok((
-            window,
-            RetryPolicy {
-                max_retries: 0,
-                ..default
-            },
-        )),
-        (true, seed) => {
-            let jitter_seed = seed.unwrap_or(default.jitter_seed);
-            Ok((
-                window,
-                RetryPolicy {
-                    jitter_seed,
-                    ..default
-                },
-            ))
-        }
-    }
-}
-
 /// Streams the store to a `stems-serve` daemon with the same workload
 /// session configuration the local path uses (see
 /// `runner::remote_open_request`), so the printed counters line up with
 /// `tracegen replay` and `tracegen verify` for the same file. The
-/// stream heals transient faults as far as `policy` allows (torn
-/// connections, corrupt frames, `Busy` shedding, via backoff +
-/// resume). One `fault-stats:` line, printed before the counters row,
-/// lets chaos harnesses reconcile the healing against a fault proxy's
-/// injection log.
+/// stream keeps `remote.window` chunks in flight and heals transient
+/// faults as far as `remote.policy` allows (torn connections, corrupt
+/// frames, `Busy` shedding, via backoff + resume). One `fault-stats:`
+/// line, printed before the counters row, lets chaos harnesses
+/// reconcile the healing against a fault proxy's injection log.
 fn remote_replay(
     path: &str,
     workload: Workload,
     predictor: Predictor,
     sys: &stems_memsim::SystemConfig,
-    addr: &str,
-    window: usize,
-    policy: RetryPolicy,
+    remote: &Remote,
 ) -> ExitCode {
     let open = remote_open_request(workload, predictor, sys);
     let mut reader = match TraceReader::open(path) {
@@ -304,10 +354,11 @@ fn remote_replay(
             return ExitCode::FAILURE;
         }
     };
-    let mut client = ResilientClient::new(addr, policy);
+    let addr = &remote.addr;
+    let mut client = ResilientClient::new(addr, remote.policy);
     let result = (|| -> Result<_, ClientError> {
         let session = client.open(&open)?;
-        let (fed, _) = client.stream(session, &mut reader, window)?;
+        let (fed, _) = client.stream(session, &mut reader, remote.window)?;
         let summary = client.close(session)?;
         Ok((fed, summary))
     })();
@@ -335,15 +386,10 @@ fn remote_replay(
 }
 
 /// Scrapes a live daemon's metrics over the wire protocol and prints
-/// the text exposition to stdout. With `--events`, the daemon's event
-/// ring is drained and printed after the exposition (separated by a
-/// blank line) as JSON-lines.
-fn metrics(args: &[String]) -> ExitCode {
-    let Some(addr) = arg_after(args, "--remote") else {
-        eprintln!("metrics needs --remote HOST:PORT (a running stems-serve daemon)");
-        return ExitCode::FAILURE;
-    };
-    let drain_events = args.iter().any(|a| a == "--events");
+/// the text exposition to stdout. With `drain_events`, the daemon's
+/// event ring is drained and printed after the exposition (separated
+/// by a blank line) as JSON-lines.
+fn metrics(addr: &str, drain_events: bool) -> ExitCode {
     let run = || -> Result<_, ClientError> {
         let mut client = stems_client::Client::connect(addr)?;
         client.metrics(drain_events)
@@ -364,18 +410,9 @@ fn metrics(args: &[String]) -> ExitCode {
     }
 }
 
-fn verify(args: &[String]) -> ExitCode {
-    let Some(workload) = workload_by_name(&args[0]) else {
-        eprintln!("unknown workload {:?}", args[0]);
-        return ExitCode::FAILURE;
-    };
-    let path = &args[1];
-    let settings = match parse_settings(&args[2..]) {
-        Ok(settings) => settings,
-        Err(code) => return code,
-    };
-    if args[2..].iter().any(|a| a == "--repair") {
-        match stems_trace::store::TraceReader::recover_tail(path) {
+fn verify(workload: Workload, path: &str, settings: &Settings, repair: bool) -> ExitCode {
+    if repair {
+        match TraceReader::recover_tail(path) {
             Ok(report) if report.was_damaged => {
                 println!(
                     "repaired {path}: kept {} frames ({} records), cut {} damaged tail bytes",
@@ -431,14 +468,26 @@ fn verify(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("capture") if args.len() >= 3 => capture(&args[1..]),
-        Some("capture-all") if args.len() >= 2 => capture_all(&args[1..]),
-        Some("info") if args.len() >= 2 => info(&args[1]),
-        Some("replay") if args.len() >= 2 => replay(&args[1..]),
-        Some("verify") if args.len() >= 3 => verify(&args[1..]),
-        Some("metrics") if args.len() >= 2 => metrics(&args[1..]),
-        _ => usage(),
+    let command = match parse_command(&args) {
+        Ok(command) => command,
+        Err(e) => {
+            eprintln!("tracegen: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match command {
+        Command::Capture(workload, file, settings, sync) => {
+            capture(workload, &file, &settings, sync)
+        }
+        Command::CaptureAll(dir, settings) => capture_all(&dir, &settings),
+        Command::Info(file) => info(&file),
+        Command::Replay(file, workload, predictor, scale, remote) => {
+            replay(&file, workload, predictor, scale, remote.as_ref())
+        }
+        Command::Verify(workload, file, settings, repair) => {
+            verify(workload, &file, &settings, repair)
+        }
+        Command::Metrics(addr, events) => metrics(&addr, events),
     }
 }
 
@@ -446,39 +495,190 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_command(&args)
+    }
+
+    /// Each accepted line must parse; each rejected one must fail naming
+    /// what is wrong. The accepted lines include every tracegen
+    /// invocation in README.md, docs/ and the CI smokes.
+    fn check(accepted: &[&str], rejected: &[(&str, &str)]) {
+        for line in accepted {
+            assert!(parse(line).is_ok(), "{line}: {:?}", parse(line));
+        }
+        for (line, named) in rejected {
+            let err = parse(line).expect_err(&format!("{line} must be rejected"));
+            assert!(err.contains(named), "{line}: error names {named}: {err}");
+        }
+    }
+
     #[test]
     fn remote_flags_accept_and_reject() {
-        // (window, max_retries, jitter_seed) of each parse.
-        let parse = |args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            remote_flags(&args).map(|(w, p)| (w, p.max_retries, p.jitter_seed))
+        // (window, max_retries, jitter_seed) of each parse; every case
+        // follows the bare `replay db2.stems --workload db2 --remote ..`.
+        let parse = |args: &str| -> Result<_, String> {
+            let line = format!("replay db2.stems --workload db2 --remote 127.0.0.1:1 {args}");
+            match parse(&line)? {
+                Command::Replay(.., Some(r)) => {
+                    Ok((r.window, r.policy.max_retries, r.policy.jitter_seed))
+                }
+                other => panic!("{args} parsed to {other:?}"),
+            }
         };
-        let RetryPolicy {
-            max_retries: retries,
-            jitter_seed: seed,
-            ..
-        } = RetryPolicy::default();
-        let accepts = |args: &[&str], want| assert_eq!(parse(args), Ok(want), "{args:?}");
-        accepts(&["db2.stems", "--workload", "db2"], (4, 0, seed));
-        accepts(&["--window", "1", "--remote", "127.0.0.1:1"], (1, 0, seed));
-        accepts(&["--retry"], (4, retries, seed));
-        accepts(
-            &["--retry", "--retry-seed", "7", "--window", "8"],
-            (8, retries, 7),
-        );
-        accepts(&["--retry-seed", "9", "--retry"], (4, retries, 9));
-        let rejected: [&[&str]; 8] = [
-            &["--window", "x"],
-            &["--window", "0"],
-            &["--window", "-4"],
-            &["--window"],
-            &["--window", "--retry"],
-            &["--retry", "--retry-seed", "banana"],
-            &["--retry", "--retry-seed"],
-            &["--retry-seed", "7"],
+        let default = RetryPolicy::default();
+        let (retries, seed) = (default.max_retries, default.jitter_seed);
+        let accepts = |args: &str, want| assert_eq!(parse(args), Ok(want), "{args}");
+        accepts("", (4, 0, seed));
+        accepts("--window 1 --remote 127.0.0.1:1", (1, 0, seed));
+        accepts("--retry", (4, retries, seed));
+        accepts("--retry --retry-seed 7 --window 8", (8, retries, 7));
+        accepts("--retry-seed 9 --retry", (4, retries, 9));
+        let rejected = [
+            "--window x",
+            "--window 0",
+            "--window -4",
+            "--window",
+            "--window --retry",
+            "--retry --retry-seed banana",
+            "--retry --retry-seed",
+            "--retry-seed 7",
         ];
         for args in rejected {
-            assert!(parse(args).is_err(), "{args:?} must be rejected");
+            assert!(parse(args).is_err(), "{args} must be rejected");
         }
+    }
+
+    #[test]
+    fn capture_flags_accept_and_reject() {
+        let accepted = [
+            "capture db2 /tmp/db2.stems --scale 0.01 --seed 2009",
+            "capture db2 /tmp/db2.stems --scale 0.1 --seed 2009",
+            "capture DB2 f --sync-every-frame --seed 7",
+        ];
+        let rejected = [
+            ("capture", "<workload> <file>"),
+            ("capture db2", "<file>"),
+            ("capture db2 --scale 0.1", "<file>"),
+            ("capture nosuch f", "unknown workload \"nosuch\""),
+            ("capture db2 /tmp/typo.stems --sacle 0.01", "--sacle"),
+            ("capture db2 f --threads 2", "--threads"),
+            ("capture db2 f --trace-dir d", "--trace-dir"),
+            ("capture db2 f --repair", "--repair"),
+            ("capture db2 f --sync-every-frame 1", "\"1\""),
+            ("capture db2 f extra", "\"extra\""),
+            ("capture db2 f --seed", "--seed"),
+            ("capture db2 f --scale 0", "--scale"),
+        ];
+        check(&accepted, &rejected);
+        let sync = SyncPolicy::EveryFrame;
+        let want =
+            |c| matches!(c, Command::Capture(Workload::Db2, _, s, p) if s.seed == 7 && p == sync);
+        assert!(parse(accepted[2]).is_ok_and(want));
+    }
+
+    #[test]
+    fn capture_all_flags_accept_and_reject() {
+        let accepted = [
+            "capture-all /tmp/corpus --scale 0.1",
+            "capture-all /tmp/corpus --scale 0.05 --seed 2009",
+            "capture-all c --threads 2",
+        ];
+        let rejected = [
+            ("capture-all", "<dir>"),
+            ("capture-all --scale 0.1", "<dir>"),
+            ("capture-all c --trace-dir d", "--trace-dir"),
+            ("capture-all c --sync-every-frame", "--sync-every-frame"),
+            ("capture-all c --threads two", "--threads"),
+            ("capture-all c d", "\"d\""),
+        ];
+        check(&accepted, &rejected);
+        let want = |c| matches!(c, Command::CaptureAll(_, s) if s.threads == 2);
+        assert!(parse(accepted[2]).is_ok_and(want));
+    }
+
+    #[test]
+    fn info_takes_a_file_and_no_flags() {
+        let rejected = [
+            ("info", "<file>"),
+            ("info f --scale 0.1", "--scale"),
+            ("info f g", "\"g\""),
+        ];
+        check(&["info /tmp/db2.stems"], &rejected);
+    }
+
+    #[test]
+    fn replay_flags_accept_and_reject() {
+        let accepted = [
+            "replay /tmp/db2.stems --workload db2 --predictor STeMS",
+            "replay /tmp/db2.stems --workload db2 --predictor STeMS --scale 0.01",
+            "replay /tmp/db2.stems --workload db2 --predictor STeMS --scale 0.01 --remote h:1",
+            "replay /tmp/db2.stems --workload db2 --predictor STeMS --scale 0.01 --remote h:1 \
+             --retry --retry-seed 7",
+            "replay db2.stems --workload db2 --remote h:1 --retry",
+            "replay f --workload DB2 --predictor tms",
+        ];
+        let rejected = [
+            ("replay", "<file>"),
+            ("replay --workload db2", "<file>"),
+            ("replay f", "--workload"),
+            ("replay f --workload", "--workload"),
+            ("replay f --workload nosuch", "unknown workload"),
+            ("replay f --workload db2 --predictor nosuch", "--predictor"),
+            ("replay f --workload db2 --seed 7", "--seed"),
+            ("replay f --workload db2 --threads 2", "--threads"),
+            ("replay f --workload db2 --events", "--events"),
+            ("replay f --workload db2 --scale 0", "--scale"),
+            ("replay f --workload db2 stray", "\"stray\""),
+            ("replay f --workload db2 --remote", "--remote"),
+            // The stream flags mean nothing without --remote.
+            ("replay f --workload db2 --window 8", "--window"),
+            ("replay f --workload db2 --retry", "--retry"),
+        ];
+        check(&accepted, &rejected);
+        let want = Command::Replay("f".into(), Workload::Db2, Predictor::Tms, 1.0, None);
+        assert_eq!(parse(accepted[5]), Ok(want));
+    }
+
+    #[test]
+    fn verify_flags_accept_and_reject() {
+        let accepted = [
+            "verify db2 /tmp/db2.stems --scale 0.01 --seed 2009",
+            "verify db2 /tmp/db2.stems --scale 0.1 --seed 2009",
+            "verify db2 /tmp/db2.stems --repair",
+        ];
+        let rejected = [
+            ("verify db2", "<file>"),
+            ("verify nosuch f", "unknown workload"),
+            ("verify db2 f --threads 2", "--threads"),
+            ("verify db2 f --workload db2", "--workload"),
+            ("verify db2 f --repair yes", "\"yes\""),
+            ("verify db2 f --seed x", "--seed"),
+        ];
+        check(&accepted, &rejected);
+        let (file, settings) = ("/tmp/db2.stems".into(), Settings::default());
+        let want = Command::Verify(Workload::Db2, file, settings, true);
+        assert_eq!(parse(accepted[2]), Ok(want));
+    }
+
+    #[test]
+    fn metrics_flags_accept_and_reject() {
+        let accepted = [
+            "metrics --remote 127.0.0.1:4909",
+            "metrics --remote h:1 --events",
+        ];
+        let rejected = [
+            ("metrics", "--remote"),
+            ("metrics --events", "--remote"),
+            ("metrics --remote", "--remote"),
+            ("metrics --remote h:1 --scale 0.1", "--scale"),
+            ("metrics stray --remote h:1", "\"stray\""),
+            // Not a subcommand at all.
+            ("", "missing subcommand"),
+            ("bogus", "\"bogus\""),
+            ("--help", "\"--help\""),
+        ];
+        check(&accepted, &rejected);
+        assert_eq!(parse(accepted[1]), Ok(Command::Metrics("h:1".into(), true)));
     }
 }

@@ -47,86 +47,24 @@ impl Default for Settings {
 
 impl Settings {
     /// The flags every experiment binary takes, each followed by a value.
-    const FLAGS: [&'static str; 4] = ["--scale", "--seed", "--threads", "--trace-dir"];
+    const FLAGS: [Flag; 4] = [
+        Flag::Value("--scale"),
+        Flag::Value("--seed"),
+        Flag::Value("--threads"),
+        Flag::Value("--trace-dir"),
+    ];
 
-    /// Parses `--scale <f>`, `--seed <n>`, `--threads <n>`, and
-    /// `--trace-dir <dir>` from an argument list. A flag whose value is
-    /// missing or malformed is an error naming it (`--scale` must be a
-    /// positive finite number); other arguments are ignored, because
-    /// `tracegen` and `bench_harness` layer their own flags on top.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        Settings::parse(args, None)
-    }
-
-    /// Parses like [`Settings::from_args`], but every argument must be one
-    /// of the four shared flags or of `extra` (value-taking flags the
-    /// caller reads itself), each followed by a value: an unknown flag or
-    /// a stray argument is an error naming it, so a typo'd flag never
-    /// runs with the default.
-    pub fn from_args_strict(
-        args: impl IntoIterator<Item = String>,
-        extra: &[&str],
-    ) -> Result<Self, String> {
-        Settings::parse(args, Some(extra))
-    }
-
-    /// `strict` holds the caller's own flags when unknown arguments are
-    /// errors, and is `None` when they are skipped.
-    fn parse(
-        args: impl IntoIterator<Item = String>,
-        strict: Option<&[&str]>,
-    ) -> Result<Self, String> {
-        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
-            let v = v
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
-        }
-        let mut s = Settings::default();
-        let mut args = args.into_iter();
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--scale" => {
-                    s.scale = value(&flag, args.next())?;
-                    if !(s.scale.is_finite() && s.scale > 0.0) {
-                        return Err(format!("--scale must be positive, got {}", s.scale));
-                    }
-                }
-                "--seed" => s.seed = value(&flag, args.next())?,
-                "--threads" => s.threads = value(&flag, args.next())?,
-                "--trace-dir" => {
-                    let dir: String = value(&flag, args.next())?;
-                    s.trace_dir = Some(std::sync::Arc::from(dir));
-                }
-                other => match strict {
-                    None => {}
-                    Some(extra) if extra.contains(&other) => {
-                        value::<String>(other, args.next())?;
-                    }
-                    Some(extra) if other.starts_with("--") => {
-                        let known: Vec<&str> =
-                            Settings::FLAGS.iter().chain(extra).copied().collect();
-                        return Err(format!(
-                            "{other}: unknown flag (expected one of {})",
-                            known.join(", ")
-                        ));
-                    }
-                    Some(_) => return Err(format!("unexpected argument {other:?}")),
-                },
-            }
-        }
-        Ok(s)
-    }
-
-    /// Parses the process arguments with [`Settings::from_args_strict`]
-    /// and no extra flags; an unknown flag, a stray argument, or a
-    /// missing or malformed value is reported on stderr and exits the
-    /// process with status 2.
+    /// Parses the process arguments against the four shared flags with
+    /// [`Args::parse`]; an unknown flag, a stray argument, or a missing or
+    /// malformed value is reported on stderr and exits the process with
+    /// status 2.
     pub fn from_env() -> Self {
-        Settings::from_args_strict(std::env::args().skip(1), &[]).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        })
+        Args::parse(std::env::args().skip(1), &Settings::FLAGS)
+            .map(|args| args.settings)
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
     }
 
     /// The worker count to actually use: `threads`, or every available
@@ -140,6 +78,111 @@ impl Settings {
                 .unwrap_or(1)
         }
     }
+}
+
+/// One flag a binary accepts: a `Value` flag takes the next argument as
+/// its value, a `Switch` stands alone.
+#[derive(Clone, Copy, Debug)]
+pub enum Flag {
+    /// `--name <value>`.
+    Value(&'static str),
+    /// `--name`.
+    Switch(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Value(name) | Flag::Switch(name) => name,
+        }
+    }
+}
+
+/// An argument list parsed against a binary's flag table: the shared
+/// [`Settings`] and the caller's own flags, as given.
+#[derive(Debug)]
+pub struct Args {
+    /// `--scale`, `--seed`, `--threads` and `--trace-dir` where the table
+    /// lists them; the defaults otherwise.
+    pub settings: Settings,
+    /// Every other flag given, in order, with its value (`None` for a
+    /// switch).
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `args` against `flags`, every flag the caller accepts. Each
+    /// argument must be a flag of the table, and a `Value` flag must be
+    /// followed by a value that is not itself a flag. An unknown flag, a
+    /// stray argument, a missing value, or a malformed shared setting
+    /// (`--scale` must be a positive finite number) is an error naming it,
+    /// so a typo'd flag never runs with the default. The caller reads its
+    /// own flags with [`Args::value`] and [`Args::switch`].
+    pub fn parse(args: impl IntoIterator<Item = String>, flags: &[Flag]) -> Result<Args, String> {
+        let mut parsed = Args {
+            settings: Settings::default(),
+            given: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
+                return Err(if !arg.starts_with("--") {
+                    format!("unexpected argument {arg:?}")
+                } else if flags.is_empty() {
+                    format!("{arg}: unknown flag (this command takes none)")
+                } else {
+                    let known: Vec<&str> = flags.iter().map(|f| f.name()).collect();
+                    format!("{arg}: unknown flag (expected one of {})", known.join(", "))
+                });
+            };
+            let Flag::Value(name) = flag else {
+                parsed.given.push((flag.name(), None));
+                continue;
+            };
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{name} needs a value"))?;
+            let s = &mut parsed.settings;
+            match name {
+                "--scale" => {
+                    s.scale = parse_value(name, &value)?;
+                    if !(s.scale.is_finite() && s.scale > 0.0) {
+                        return Err(format!("--scale must be positive, got {}", s.scale));
+                    }
+                }
+                "--seed" => s.seed = parse_value(name, &value)?,
+                "--threads" => s.threads = parse_value(name, &value)?,
+                "--trace-dir" => s.trace_dir = Some(std::sync::Arc::from(value)),
+                _ => parsed.given.push((name, Some(value))),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The value given for `flag` (the last one, if repeated) parsed as
+    /// `T`, or `None` when it was not given; a value that does not parse
+    /// is an error naming the flag.
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, value)| value.as_deref())
+            .map(|value| parse_value(flag, value))
+            .transpose()
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| *name == flag)
+    }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 /// Maps `f` over `items` on `threads` workers, returning results in input
@@ -312,7 +355,7 @@ pub fn load_trace(workload: Workload, settings: &Settings) -> Trace {
 
 /// Generates (or, under `--trace-dir`, replays) every workload's trace
 /// in parallel, preserving order.
-pub fn generate_traces(settings: Settings) -> Vec<(Workload, Trace)> {
+fn generate_traces(settings: Settings) -> Vec<(Workload, Trace)> {
     let workloads = Workload::all();
     let traces = parallel_map(&workloads, settings.effective_threads(), |w| {
         load_trace(*w, &settings)
@@ -378,123 +421,119 @@ pub fn per_workload_predictor<T: Send>(
 mod tests {
     use super::*;
 
+    /// Parses a space-separated argument line against `flags`.
+    fn parse(line: &str, flags: &[Flag]) -> Result<Args, String> {
+        Args::parse(line.split_whitespace().map(String::from), flags)
+    }
+
+    /// Each line must be rejected with an error naming what is wrong.
+    fn assert_rejected(flags: &[Flag], rejected: &[(&str, &str)]) {
+        for (line, named) in rejected {
+            let err = parse(line, flags).expect_err(&format!("{line} must be rejected"));
+            assert!(err.contains(named), "{line}: error names {named}: {err}");
+        }
+    }
+
     #[test]
     fn settings_parse() {
-        let parse = |args: &[&str]| Settings::from_args(args.iter().map(|s| s.to_string()));
-        let accepted: [(&[&str], Settings); 5] = [
-            (&[], Settings::default()),
-            (
-                &["--scale", "0.25", "--seed", "7", "--threads", "3", "--junk"],
-                Settings {
-                    scale: 0.25,
-                    seed: 7,
-                    threads: 3,
-                    trace_dir: None,
-                },
-            ),
-            (
-                &["--trace-dir", "/tmp/corpus", "--threads", "0"],
-                Settings {
-                    trace_dir: Some("/tmp/corpus".into()),
-                    ..Settings::default()
-                },
-            ),
-            // Unknown flags and their values are skipped, wherever they sit.
-            (
-                &["--window", "8", "--seed", "1", "positional", "--retry"],
-                Settings {
-                    seed: 1,
-                    ..Settings::default()
-                },
-            ),
-            (
-                &["--scale", "1e-3"],
-                Settings {
-                    scale: 0.001,
-                    ..Settings::default()
-                },
-            ),
-        ];
-        for (args, want) in accepted {
-            assert_eq!(parse(args), Ok(want), "{args:?}");
-        }
-        let rejected: [&[&str]; 12] = [
-            &["--scale", "banana"],
-            &["--scale"],
-            &["--scale", "0"],
-            &["--scale", "-1"],
-            &["--scale", "nan"],
-            &["--scale", "inf"],
-            &["--seed", "-3"],
-            &["--seed", "7.5"],
-            &["--threads", "two"],
-            &["--threads", "--seed", "7"],
-            &["--trace-dir"],
-            &["--seed", "1", "--trace-dir", "--scale", "0.1"],
-        ];
-        for args in rejected {
-            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
-            assert!(err.starts_with("--"), "error names the flag: {err}");
-            let strict = Settings::from_args_strict(args.iter().map(|s| s.to_string()), &[]);
-            assert_eq!(strict, Err(err), "{args:?}");
-        }
-        // Strict parsing (every experiment binary but tracegen and
-        // bench_harness) accepts only the shared flags and the caller's
-        // own, and names whatever else it finds.
-        let strict = |args: &[&str], extra: &[&str]| {
-            Settings::from_args_strict(args.iter().map(|s| s.to_string()), extra)
+        let settings = |scale, seed, threads, dir: Option<&str>| Settings {
+            scale,
+            seed,
+            threads,
+            trace_dir: dir.map(Into::into),
         };
-        let accepted: [(&[&str], &[&str], Settings); 4] = [
-            (&[], &[], Settings::default()),
+        let accepted = [
+            ("", Settings::default()),
             (
-                &[
-                    "--scale",
-                    "0.25",
-                    "--seed",
-                    "7",
-                    "--threads",
-                    "3",
-                    "--trace-dir",
-                    "corpus",
-                ],
-                &[],
-                Settings {
-                    scale: 0.25,
-                    seed: 7,
-                    threads: 3,
-                    trace_dir: Some("corpus".into()),
-                },
+                "--scale 0.25 --seed 7 --threads 3 --trace-dir corpus",
+                settings(0.25, 7, 3, Some("corpus")),
             ),
             (
-                &["--seeds", "5", "--seed", "1"],
-                &["--seeds"],
-                Settings {
-                    seed: 1,
-                    ..Settings::default()
-                },
+                "--trace-dir /tmp/corpus --threads 0",
+                settings(1.0, 2009, 0, Some("/tmp/corpus")),
             ),
-            // The caller checks its own flags' values.
-            (&["--seeds", "banana"], &["--seeds"], Settings::default()),
+            ("--scale 1e-3", settings(0.001, 2009, 0, None)),
+            // The last of a repeated flag wins.
+            ("--seed 1 --seed 2", settings(1.0, 2, 0, None)),
         ];
-        for (args, extra, want) in accepted {
-            assert_eq!(strict(args, extra), Ok(want), "{args:?}");
+        for (line, want) in accepted {
+            assert_eq!(
+                parse(line, &Settings::FLAGS).map(|a| a.settings),
+                Ok(want),
+                "{line}"
+            );
         }
-        let rejected: [(&[&str], &[&str], &str); 8] = [
-            (&["--sacle", "0.05"], &[], "--sacle"),
-            (&["--scale", "0.05", "--junk"], &[], "--junk"),
-            (&["--help"], &[], "--help"),
-            (&["--seeds", "3"], &[], "--seeds"),
-            (&["0.05"], &[], "\"0.05\""),
-            (&["--scale", "0.05", "stray"], &[], "\"stray\""),
-            (&["--seeds"], &["--seeds"], "--seeds"),
-            (&["--seeds", "--scale", "0.1"], &["--seeds"], "--seeds"),
-        ];
-        for (args, extra, named) in rejected {
-            let err = strict(args, extra).expect_err(&format!("{args:?} must be rejected"));
-            assert!(err.contains(named), "error names {named}: {err}");
-        }
-        assert_eq!(parse(&["--threads", "3"]).unwrap().effective_threads(), 3);
+        // Each rejection names the flag or argument at fault, so a typo
+        // never runs with the default.
+        assert_rejected(
+            &Settings::FLAGS,
+            &[
+                ("--scale banana", "--scale"),
+                ("--scale", "--scale"),
+                ("--scale 0", "--scale"),
+                ("--scale -1", "--scale"),
+                ("--scale nan", "--scale"),
+                ("--scale inf", "--scale"),
+                ("--seed -3", "--seed"),
+                ("--seed 7.5", "--seed"),
+                ("--threads two", "--threads"),
+                ("--threads --seed 7", "--threads"),
+                ("--trace-dir", "--trace-dir"),
+                ("--seed 1 --trace-dir --scale 0.1", "--trace-dir"),
+                ("--scale banana --scale 0.1", "--scale"),
+                ("--scale 0.05 --junk", "--junk"),
+                ("--scale 0.25 --seed 7 --threads 3 --junk", "--junk"),
+                ("--window 8 --seed 1 positional --retry", "--window"),
+                ("--sacle 0.05", "--sacle"),
+                ("--help", "--help"),
+                ("--seeds 3", "--seeds"),
+                ("0.05", "\"0.05\""),
+                ("--scale 0.05 stray", "\"stray\""),
+            ],
+        );
+        let three = parse("--threads 3", &Settings::FLAGS).unwrap().settings;
+        assert_eq!(three.effective_threads(), 3);
         assert!(Settings::default().effective_threads() >= 1);
+    }
+
+    #[test]
+    fn args_read_the_callers_own_flags() {
+        // The shared flags plus the caller's own, as `fig10_ci` passes them.
+        let extra = [Flag::Value("--seeds"), Flag::Switch("--retry")];
+        let flags = [Settings::FLAGS.as_slice(), &extra].concat();
+        let args = parse("--seeds 5 --seed 1 --retry --seeds 6", &flags).unwrap();
+        assert_eq!((args.settings.seed, args.settings.scale), (1, 1.0));
+        assert_eq!(args.value::<usize>("--seeds"), Ok(Some(6)));
+        assert!(args.switch("--retry"));
+        let none = parse("", &flags).unwrap();
+        assert_eq!(none.value::<usize>("--seeds"), Ok(None));
+        assert!(!none.switch("--retry"));
+        // The caller checks its own flags' values.
+        let banana = parse("--seeds banana", &flags).unwrap();
+        assert_eq!(banana.settings, Settings::default());
+        let err = banana.value::<usize>("--seeds").unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+        assert_rejected(
+            &flags,
+            &[
+                ("--seeds", "--seeds"),
+                ("--seeds --scale 0.1", "--seeds"),
+                // A switch takes no value.
+                ("--retry 5", "\"5\""),
+            ],
+        );
+        // A table that leaves the shared flags out rejects them, as
+        // `tracegen metrics`'s does; an empty table rejects every flag.
+        assert_rejected(
+            &[Flag::Value("--remote"), Flag::Switch("--events")],
+            &[
+                ("--scale 1", "--scale"),
+                ("--seed 1", "--seed"),
+                ("--threads 1", "--threads"),
+                ("--trace-dir d", "--trace-dir"),
+            ],
+        );
+        assert_rejected(&[], &[("--events", "--events")]);
     }
 
     #[test]
@@ -526,6 +565,31 @@ mod tests {
             assert_eq!(cells[1].0, Predictor::Stride);
             assert!(cells[0].1 > 0);
         }
+    }
+
+    #[test]
+    fn replay_coverage_matches_the_in_memory_run() {
+        let trace = Workload::Db2.generate_scaled(0.002, 1);
+        let sys = system_config(0.002);
+        let path =
+            std::env::temp_dir().join(format!("stems_runner_{}_db2.stems", std::process::id()));
+        let mut writer = stems_trace::TraceWriter::create(&path).expect("create temp store");
+        writer
+            .write_accesses(trace.as_slice())
+            .and_then(|_| writer.finish())
+            .expect("write temp store");
+        drop(writer);
+        for p in Predictor::all() {
+            let (replayed, fed) =
+                replay_coverage(Workload::Db2, p, &path, &sys).expect("replay temp store");
+            assert_eq!(fed, trace.len() as u64, "{p} replay feeds the whole trace");
+            assert_eq!(
+                replayed,
+                run_coverage(Workload::Db2, p, &trace, &sys),
+                "{p} replayed counters equal the in-memory run's"
+            );
+        }
+        std::fs::remove_file(&path).expect("remove temp store");
     }
 
     #[test]

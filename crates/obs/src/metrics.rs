@@ -343,79 +343,6 @@ impl MetricsRegistry {
             }
         }
     }
-
-    /// Renders every metric as one flat JSON object — `{"sample key":
-    /// value, ...}` where the key is the exposition line's name+labels.
-    /// Histograms contribute `_count`/`_sum`/`_max`/`_p50`/`_p90`/`_p99`
-    /// keys. This is the `--obs-json` dump format next to
-    /// `BENCH_harness.json`.
-    pub fn render_json(&self, out: &mut String) {
-        let entries = self.entries.lock().unwrap();
-        out.push_str("{\n");
-        let mut first = true;
-        let push = |out: &mut String, key: &str, value: f64, first: &mut bool| {
-            if !*first {
-                out.push_str(",\n");
-            }
-            *first = false;
-            out.push_str("  \"");
-            // Sample keys contain only metric-name characters plus the
-            // label block; escape quotes/backslashes defensively.
-            for ch in key.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    other => out.push(other),
-                }
-            }
-            out.push_str("\": ");
-            expo::write_value(out, value);
-        };
-        for e in entries.iter() {
-            let key_base = match &e.label {
-                None => e.name.clone(),
-                Some((k, v)) => {
-                    let mut s = format!("{}{{{}=\"", e.name, k);
-                    expo::write_escaped_label_value(&mut s, v);
-                    s.push_str("\"}");
-                    s
-                }
-            };
-            match &e.metric {
-                Metric::Counter(c) => push(out, &key_base, c.get() as f64, &mut first),
-                Metric::Gauge(g) => push(out, &key_base, g.get() as f64, &mut first),
-                Metric::Histogram(h) => {
-                    push(
-                        out,
-                        &format!("{key_base}_count"),
-                        h.count() as f64,
-                        &mut first,
-                    );
-                    push(out, &format!("{key_base}_sum"), h.sum() as f64, &mut first);
-                    push(out, &format!("{key_base}_max"), h.max() as f64, &mut first);
-                    push(
-                        out,
-                        &format!("{key_base}_p50"),
-                        h.quantile(0.50),
-                        &mut first,
-                    );
-                    push(
-                        out,
-                        &format!("{key_base}_p90"),
-                        h.quantile(0.90),
-                        &mut first,
-                    );
-                    push(
-                        out,
-                        &format!("{key_base}_p99"),
-                        h.quantile(0.99),
-                        &mut first,
-                    );
-                }
-            }
-        }
-        out.push_str("\n}\n");
-    }
 }
 
 /// One histogram renders as `_count`/`_sum`/`_max` lines, three
@@ -635,20 +562,5 @@ mod tests {
         reg.render_labeled(&mut labeled, &[("session", "9")]);
         assert!(labeled.contains("stems_a_total{session=\"9\"} 7"));
         assert!(labeled.contains("stems_c_total{kind=\"io\",session=\"9\"} 1"));
-    }
-
-    #[test]
-    fn json_dump_is_flat_and_parseable_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("stems_a_total").add(7);
-        reg.histogram("stems_h_nanos").observe(100);
-        let mut out = String::new();
-        reg.render_json(&mut out);
-        assert!(out.starts_with("{\n"));
-        assert!(out.ends_with("\n}\n"));
-        assert!(out.contains("\"stems_a_total\": 7"));
-        assert!(out.contains("\"stems_h_nanos_count\": 1"));
-        assert!(out.contains("\"stems_h_nanos_max\": 100"));
-        assert!(!out.contains(",\n\n"), "no dangling comma");
     }
 }

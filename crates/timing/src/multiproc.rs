@@ -5,9 +5,10 @@
 //! round-robin through private L1/L2 hierarchies coupled by the full-map
 //! [`Directory`], applying coherence invalidations to the victims and
 //! accounting torus-distance latencies per miss. The figure harnesses use
-//! single-node detail plus invalidation injection for speed (DESIGN.md
-//! §2); this substrate validates that the injected rates are plausible
-//! and exercises the protocol end to end.
+//! single-node detail plus invalidation injection for speed (the
+//! injector stands in for the other 15 nodes); this substrate validates
+//! that the injected rates are plausible and exercises the protocol end
+//! to end.
 
 use stems_memsim::{
     directory::DataSource, Directory, Hierarchy, Level, NodeId, SystemConfig, Torus,

@@ -6,7 +6,7 @@
 //! so each is replaced by a deterministic generator that reproduces the
 //! *memory behaviour* the paper attributes to it — temporal repetition,
 //! PC-correlated spatial layouts, dependence structure, compulsory-miss
-//! fractions, and footprints relative to the 8MB L2 (see DESIGN.md §3).
+//! fractions, and footprints relative to the 8MB L2 (the paper's Table 1).
 //!
 //! # Example
 //!

@@ -2,7 +2,8 @@
 //! directory protocol and 4x4 torus, sharding one workload across nodes.
 //!
 //! Used to validate the coherence-invalidation rates that the single-node
-//! figure harnesses inject (DESIGN.md §2).
+//! figure harnesses inject in place of the other 15 nodes of the
+//! paper's Table 1.
 //!
 //! ```sh
 //! cargo run --release --example multiproc_coherence
