@@ -30,6 +30,8 @@
 //! assert!(joint.temporal_fraction() > 0.3); // the second pass repeats
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corr;
 pub mod filter;
 pub mod joint;

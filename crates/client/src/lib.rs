@@ -36,6 +36,8 @@
 //! assert_eq!(summary.accesses_fed, fed);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

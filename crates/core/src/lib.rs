@@ -49,6 +49,8 @@
 //! assert!(stems.uncovered < baseline.uncovered);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod naive;

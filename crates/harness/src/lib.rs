@@ -5,6 +5,8 @@
 //! fig9`) accepting `--scale <f>` (footprint scale, default 1.0) and
 //! `--seed <n>`; `--bin all` runs the complete evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod ablate;
 pub mod figs;
 pub mod render;

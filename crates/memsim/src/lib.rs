@@ -26,6 +26,8 @@
 //! assert_eq!(h.access(b, false).level, Level::L1);     // now cached
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod directory;

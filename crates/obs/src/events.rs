@@ -307,8 +307,19 @@ impl Event {
     }
 }
 
+/// The largest ring `stems-serve --event-capacity` accepts: 1,048,576
+/// events.
+pub const MAX_EVENT_CAPACITY: usize = 1 << 20;
+
+/// Records a ring reserves at its first push: the default server ring
+/// whole, so it allocates once.
+const FIRST_RESERVE: usize = 1024;
+
 /// A bounded ring of [`Event`]s. Pushing past capacity overwrites the
 /// oldest record and bumps a drop counter; draining empties the ring.
+/// Storage is reserved at the first push and grows with the records
+/// held, never past `capacity`, so a large capacity costs nothing until
+/// events arrive.
 #[derive(Debug)]
 pub struct EventRing {
     buf: Mutex<VecDeque<Event>>,
@@ -321,7 +332,7 @@ impl EventRing {
     pub fn new(capacity: usize) -> EventRing {
         let capacity = capacity.max(1);
         EventRing {
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
+            buf: Mutex::new(VecDeque::new()),
             capacity,
             dropped: AtomicU64::new(0),
         }
@@ -353,6 +364,8 @@ impl EventRing {
         if buf.len() == self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else if buf.capacity() == 0 {
+            buf.reserve(self.capacity.min(FIRST_RESERVE));
         }
         buf.push_back(event);
     }
@@ -472,6 +485,16 @@ mod tests {
         assert_eq!(ids, vec![7, 8, 9], "oldest records were the ones dropped");
         // Drop counter survives the drain.
         assert_eq!(ring.dropped(), 7);
+    }
+
+    #[test]
+    fn a_ring_reserves_nothing_before_its_first_push() {
+        let ring = EventRing::new(MAX_EVENT_CAPACITY);
+        assert_eq!(ring.capacity(), MAX_EVENT_CAPACITY);
+        assert_eq!(ring.buf.lock().unwrap().capacity(), 0);
+        ring.push(ev(0, EventKind::DrainStart { sessions: 1 }));
+        assert_eq!(ring.buf.lock().unwrap().capacity(), FIRST_RESERVE);
+        assert_eq!(ring.drain().len(), 1);
     }
 
     #[test]

@@ -44,10 +44,12 @@
 //! assert!(text.contains("stems_chunk_nanos_count 1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod hook;
 pub mod metrics;
 
-pub use events::{Event, EventKind, EventRing, LogLevel};
+pub use events::{Event, EventKind, EventRing, LogLevel, MAX_EVENT_CAPACITY};
 pub use hook::{SessionObs, SessionObsBuilder};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};

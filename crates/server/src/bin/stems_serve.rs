@@ -14,8 +14,9 @@
 //! address on stdout, optionally writes the bound port to `--port-file`
 //! (how scripts discover an ephemeral port), and serves until a client
 //! sends `Shutdown`. Exit code 0 on a graceful drain; 2 on a usage error
-//! (an unknown argument, a missing or malformed value, a zero timeout, or
-//! a `--busy-retry-ms`/`--slow-chunk-ms` too large to keep).
+//! (an unknown argument, a missing or malformed value, a zero timeout, a
+//! `--busy-retry-ms`/`--slow-chunk-ms` too large to keep, or an
+//! `--event-capacity` above 1,048,576 events).
 //!
 //! Logging goes through the observability event layer (see
 //! `docs/OBSERVABILITY.md`): `--log-level info` mirrors every event at
@@ -27,6 +28,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use stems_obs::MAX_EVENT_CAPACITY;
 use stems_server::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -90,8 +92,9 @@ fn main() -> ExitCode {
 /// a missing or malformed value, or a value the server would not keep
 /// as given is an error naming the flag: a zero socket timeout (std
 /// refuses it, so the connection would run with no timeout at all), a
-/// `--busy-retry-ms` past `u32::MAX`, or a `--slow-chunk-ms` whose
-/// nanoseconds overflow a `u64`.
+/// `--busy-retry-ms` past `u32::MAX`, a `--slow-chunk-ms` whose
+/// nanoseconds overflow a `u64`, or an `--event-capacity` above
+/// [`MAX_EVENT_CAPACITY`].
 fn parse_args(args: &[String]) -> Result<Options, String> {
     fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
         value
@@ -142,7 +145,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     format!("{flag} must be at most {}, got {ms}", u64::MAX / 1_000_000)
                 })?
             }
-            "--event-capacity" => config.event_capacity = number(flag, value()?)?,
+            "--event-capacity" => {
+                let events: usize = number(flag, value()?)?;
+                if events > MAX_EVENT_CAPACITY {
+                    return Err(format!(
+                        "{flag} must be at most {MAX_EVENT_CAPACITY}, got {events}"
+                    ));
+                }
+                config.event_capacity = events
+            }
             "--max-concurrent-chunks" => config.max_concurrent_chunks = number(flag, value()?)?,
             "--max-connections" => config.max_connections = number(flag, value()?)?,
             "--busy-retry-ms" => {
@@ -198,6 +209,13 @@ mod tests {
             parse("--slow-chunk-ms 0").unwrap().config.slow_chunk_nanos,
             0
         );
+        assert_eq!(
+            parse("--event-capacity 1048576")
+                .unwrap()
+                .config
+                .event_capacity,
+            MAX_EVENT_CAPACITY
+        );
 
         let rejected = [
             // Values the server would otherwise change silently.
@@ -206,6 +224,9 @@ mod tests {
             ("--busy-retry-ms 4294967296", "--busy-retry-ms"),
             ("--slow-chunk-ms 18446744073710", "--slow-chunk-ms"),
             ("--slow-chunk-ms 18446744073709551615", "--slow-chunk-ms"),
+            // Event rings past the ceiling.
+            ("--event-capacity 1048577", "--event-capacity"),
+            ("--event-capacity 18446744073709551615", "--event-capacity"),
             // Missing or malformed values.
             ("--addr", "--addr"),
             ("--port-file --quiet", "--port-file"),

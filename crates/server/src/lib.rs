@@ -45,6 +45,8 @@
 //! server.run().unwrap(); // blocks until a client sends Shutdown
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

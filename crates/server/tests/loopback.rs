@@ -8,14 +8,21 @@
 
 mod support;
 
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
+use std::time::Duration;
 
 use stems_client::{Client, ClientError, ResilientClient, RetryPolicy};
-use stems_core::protocol::{OpenRequest, SessionSummary};
+use stems_core::protocol::{
+    OpenRequest, Response, SessionSummary, FRAMING_ERROR_PREFIX, KIND_SEQ_CHUNK,
+};
 use stems_core::{Predictor, PrefetchConfig};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_server::ServerConfig;
-use stems_trace::store::TraceReader;
+use stems_trace::store::{decode_records, encode_records, TraceReader};
+use stems_trace::Trace;
+use stems_types::{varint, wire};
 use support::{fail_fast, local_summary, sample, start_server, store_bytes, test_trace};
 
 /// The two golden configurations from `engine::sim`: the default small
@@ -316,5 +323,136 @@ fn refused_open_fails_fast_under_the_default_retry_policy() {
         1
     );
     assert!(admin.shutdown_server().expect("shutdown").is_empty());
+    handle.join().unwrap().expect("server run");
+}
+
+/// Sends one correctly framed and checksummed `SeqChunk` carrying
+/// `columns` as its record columns over a fresh connection, and returns
+/// the server's reply.
+fn send_raw_chunk(
+    addr: SocketAddr,
+    session: u32,
+    seq: u64,
+    count: usize,
+    columns: &[u8],
+) -> Response {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    wire::write_hello(&mut writer).expect("hello");
+    wire::read_hello(&mut reader).expect("server hello");
+    let mut payload = Vec::new();
+    varint::write_u64(&mut payload, session as u64);
+    varint::write_u64(&mut payload, seq);
+    varint::write_u64(&mut payload, count as u64);
+    payload.extend_from_slice(columns);
+    wire::write_message(&mut writer, KIND_SEQ_CHUNK, &payload, &mut Vec::new()).expect("send");
+    Response::read_from(&mut reader, &mut Vec::new())
+        .expect("a well-formed reply")
+        .expect("a reply before the close")
+}
+
+/// End offsets of the `n` varints that start at `from`.
+fn varint_ends(bytes: &[u8], from: usize, n: usize) -> Vec<usize> {
+    let mut pos = from;
+    (0..n)
+        .map(|_| {
+            pos += varint::read_u64(&bytes[pos..])
+                .expect("well-formed column")
+                .1;
+            pos
+        })
+        .collect()
+}
+
+/// Chunks that pass the CRC but whose columns are hostile (a record
+/// count one past the columns, an 11-byte pc varint, a work value of
+/// 65,536, nonzero flags padding) each get an authoritative `Error`
+/// naming the decoder's reason, and leave the session exactly where its
+/// one applied chunk put it.
+#[test]
+fn a_checksummed_hostile_chunk_leaves_its_session_untouched() {
+    let trace = test_trace();
+    let (first, rest) = trace.as_slice().split_at(support::FRAME);
+    let second = &rest[..1_025];
+    let (addr, handle) = start_server(ServerConfig::default());
+    let open = support::open_request(Predictor::Stems);
+    let mut client = Client::connect(addr).expect("connect");
+    let session = client.open(&open).expect("open");
+    client.write_seq_chunk(session, 1, first).expect("chunk 1");
+    client.read_stats().expect("chunk 1 applied");
+
+    let mut columns = Vec::new();
+    encode_records(second, &mut columns);
+    let count = second.len();
+    let pc_ends = varint_ends(&columns, 0, count);
+    let addr_end = *varint_ends(&columns, pc_ends[count - 1], count)
+        .last()
+        .unwrap();
+    let work_start = addr_end + count.div_ceil(4);
+    let last_work = varint_ends(&columns, work_start, count)[count - 2];
+
+    let extra_record = (columns.clone(), count + 1);
+    let overlong_pc = (
+        [
+            &columns[..pc_ends[count - 2]],
+            &[0x80; 10],
+            &[0x00],
+            &columns[pc_ends[count - 1]..],
+        ]
+        .concat(),
+        count,
+    );
+    let mut big_work = columns[..last_work].to_vec();
+    varint::write_u64(&mut big_work, 65_536);
+    let mut padding = columns.clone();
+    padding[work_start - 1] |= 0b1000_0000;
+    const RUNS_PAST: &str = "varint runs past the frame payload";
+    const PADDING: &str = "nonzero padding bits in the flags column";
+    for (what, (bytes, count), reason) in [
+        ("a record count past the columns", extra_record, PADDING),
+        ("an 11-byte pc varint", overlong_pc, RUNS_PAST),
+        (
+            "a work value of 65,536",
+            (big_work, count),
+            "work value exceeds u16",
+        ),
+        ("nonzero flags padding", (padding, count), PADDING),
+    ] {
+        assert_eq!(
+            decode_records(&bytes, count, &mut Vec::new()),
+            Err(reason),
+            "{what}"
+        );
+        match send_raw_chunk(addr, session, 2, count, &bytes) {
+            Response::Error { message, .. } => {
+                assert!(
+                    !message.starts_with(FRAMING_ERROR_PREFIX),
+                    "{what}: {message}"
+                );
+                assert_eq!(
+                    message,
+                    format!("corrupt message payload: {reason}"),
+                    "{what}"
+                );
+            }
+            other => panic!("{what}: want an Error reply, got {other:?}"),
+        }
+    }
+    drop(client);
+
+    let mut fresh = Client::connect(addr).expect("connect");
+    assert_eq!(fresh.resume(session, 1).expect("resume").last_seq, 1);
+    let remote = fresh.close(session).expect("close");
+    let mut applied = Trace::new();
+    applied.extend(first.iter().copied());
+    let local = local_summary(&open, &store_bytes(&applied));
+    assert_summaries_match(&remote, &local, "one applied chunk");
+    let scrape = fresh.metrics(false).expect("scrape").exposition;
+    assert_eq!(sample(&scrape, "stems_worker_panics_total"), 0);
+    assert!(fresh.shutdown_server().expect("shutdown").is_empty());
     handle.join().unwrap().expect("server run");
 }

@@ -32,6 +32,8 @@
 //! assert!(tms.cycles < base.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod multiproc;
 

@@ -32,6 +32,9 @@
 //! ```
 
 #![deny(missing_docs)]
+// `unsafe` lives only in the record decoder's fast loop (`store`).
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod record;
 pub mod stats;

@@ -27,6 +27,10 @@
 //! assert_eq!(region.base().get() % (BLOCK_BYTES * REGION_BLOCKS as u64), 0);
 //! ```
 
+// `unsafe` lives only in the CRC-32 folding kernel (`crc`).
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod addr;
 pub mod bitmap;
 pub mod clock;

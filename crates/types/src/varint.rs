@@ -55,24 +55,33 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) {
 /// stream that was written by [`write_u64`].
 ///
 /// With at least eight bytes available, an encoding of 1–8 bytes is
-/// decoded from one little-endian 8-byte load: the first byte with its
-/// high bit clear ends it, and three shift-and-mask steps pack its 7-bit
-/// groups. Longer encodings and buffer tails take the byte loop.
+/// decoded from one little-endian 8-byte load ([`decode_word`]). Longer
+/// encodings and buffer tails take the byte loop.
 #[inline]
 pub fn read_u64(bytes: &[u8]) -> Option<(u64, usize)> {
     if let Some(word) = bytes.first_chunk::<8>() {
-        let word = u64::from_le_bytes(*word);
-        let stops = !word & 0x8080_8080_8080_8080;
-        if stops != 0 {
-            // Bits up to and including the first stop bit: the varint's bytes.
-            let mut x = word & (stops ^ (stops - 1)) & 0x7F7F_7F7F_7F7F_7F7F;
-            x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
-            x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
-            x = (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
-            return Some((x, stops.trailing_zeros() as usize / 8 + 1));
+        let (value, len) = decode_word(u64::from_le_bytes(*word));
+        if len <= 8 {
+            return Some((value, len));
         }
     }
     read_u64_bytewise(bytes)
+}
+
+/// Decodes the varint at the front of `word`, eight bytes loaded
+/// little-endian: the first byte with its high bit clear ends it, and
+/// three shift-and-mask steps pack its 7-bit groups. Returns the value
+/// and the encoding's length in bytes; a length of 9 means none of the
+/// eight bytes ends the varint, and the value is then meaningless.
+#[inline]
+pub fn decode_word(word: u64) -> (u64, usize) {
+    let stops = !word & 0x8080_8080_8080_8080;
+    // Bits up to and including the first stop bit: the varint's bytes.
+    let mut x = word & (stops ^ stops.wrapping_sub(1)) & 0x7F7F_7F7F_7F7F_7F7F;
+    x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
+    x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+    x = (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
+    (x, stops.trailing_zeros() as usize / 8 + 1)
 }
 
 fn read_u64_bytewise(bytes: &[u8]) -> Option<(u64, usize)> {

@@ -1,5 +1,6 @@
-//! Differential tests for the word-at-a-time codec kernels: slicing-by-8
-//! CRC-32 and the 8-byte-load LEB128 reader, each pinned against the
+//! Differential tests for the codec kernels: the CRC-32 (PCLMULQDQ
+//! folding where the CPU has it, slicing-by-8 otherwise and below 64
+//! bytes) and the 8-byte-load LEB128 reader, each pinned against the
 //! byte-at-a-time code it replaced. The oracles live only here; the
 //! library ships the fast kernels alone.
 
@@ -8,25 +9,48 @@ use proptest::prelude::*;
 use stems_types::crc::{crc32, Crc32};
 use stems_types::varint::{self, MAX_VARINT_BYTES};
 
-/// The bytewise table-driven CRC-32 the slicing-by-8 kernel replaced.
-fn crc32_bytewise(bytes: &[u8]) -> u32 {
+/// The bytewise table: `TABLE[b]` is the CRC contribution of byte `b`.
+const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
+    let mut i = 0;
+    while i < 256 {
         let mut crc = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 1 != 0 {
                 (crc >> 1) ^ 0xEDB8_8320
             } else {
                 crc >> 1
             };
+            bit += 1;
         }
-        *slot = crc;
+        table[i] = crc;
+        i += 1;
     }
+    table
+};
+
+/// One byte through the bytewise table, on the uninverted state.
+fn bytewise_step(crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize]
+}
+
+/// The bytewise table-driven CRC-32 the faster kernels replaced.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(u32::MAX, |crc, &b| bytewise_step(crc, b))
+}
+
+/// The bytewise CRC-32 of every prefix of `bytes`: entry `n` is the
+/// checksum of `bytes[..n]`.
+fn crc32_bytewise_prefixes(bytes: &[u8]) -> Vec<u32> {
     let mut crc = u32::MAX;
+    let mut out = Vec::with_capacity(bytes.len() + 1);
+    out.push(!crc);
     for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        crc = bytewise_step(crc, b);
+        out.push(!crc);
     }
-    !crc
+    out
 }
 
 /// The byte-at-a-time LEB128 reader the word-at-a-time one replaced.
@@ -72,6 +96,26 @@ fn crc_check_value_and_every_length_up_to_64() {
             crc32_bytewise(&data[..len]),
             "len {len}"
         );
+    }
+}
+
+#[test]
+fn crc_matches_at_every_length_up_to_1024() {
+    let data = bytes(2, 1024);
+    let want = crc32_bytewise_prefixes(&data);
+    for len in 0..=data.len() {
+        assert_eq!(crc32(&data[..len]), want[len], "len {len}");
+    }
+}
+
+#[test]
+fn crc_matches_around_every_64_byte_multiple_up_to_64k() {
+    let data = bytes(3, 64 * 1024 + 1);
+    let want = crc32_bytewise_prefixes(&data);
+    for k in 1..=1024 {
+        for len in [64 * k - 1, 64 * k, 64 * k + 1] {
+            assert_eq!(crc32(&data[..len]), want[len], "len {len}");
+        }
     }
 }
 
@@ -152,6 +196,33 @@ proptest! {
         let expect = crc32_bytewise(&data);
         prop_assert_eq!(crc32(&data), expect);
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut h = Crc32::new();
+        let mut from = 0;
+        for cut in cuts {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        h.update(&data[from..]);
+        prop_assert_eq!(h.finish(), expect);
+    }
+
+    /// Buffers up to 64 KiB folded through `update` in up to six random
+    /// pieces: pieces of every size, so each lands on either side of the
+    /// 64-byte folding threshold, give the bytewise oracle's checksum.
+    #[test]
+    fn crc_matches_the_bytewise_oracle_under_random_splits_up_to_64k(
+        len in 0usize..64 * 1024 + 1,
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        short in any::<bool>(),
+    ) {
+        let data = bytes(seed, len);
+        let expect = crc32_bytewise(&data);
+        prop_assert_eq!(crc32(&data), expect);
+        // Half the cases cut near the front, where pieces are short.
+        let span = if short { len.min(256) } else { len };
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (span + 1)).collect();
         cuts.sort_unstable();
         let mut h = Crc32::new();
         let mut from = 0;

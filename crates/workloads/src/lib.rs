@@ -18,6 +18,8 @@
 //! assert_eq!(Workload::all().len(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod capture;
 pub mod commercial;
