@@ -63,6 +63,9 @@ impl Counters {
 
 /// Injects coherence invalidations, standing in for the write traffic of
 /// the other 15 nodes of the paper's 16-node multiprocessor (its Table 1).
+/// The rates are set by hand per workload (`Workload::invalidation_rate`
+/// in `stems-workloads`); the "Invalidation-rate provenance" note in
+/// EXPERIMENTS.md records what a multi-node run measured against them.
 ///
 /// Every access, with probability `rate`, one recently touched block is
 /// invalidated from the L1/L2/SVB — ending any spatial generation covering

@@ -10,6 +10,7 @@
 //! tracegen replay /tmp/db2.stems --workload db2 --remote 127.0.0.1:4909
 //! tracegen verify db2 /tmp/db2.stems --scale 0.1 --seed 7
 //! tracegen metrics --remote 127.0.0.1:4909 [--events]
+//! tracegen shutdown --remote 127.0.0.1:4909
 //! ```
 //!
 //! `capture` writes the chunked store format (`docs/TRACE_FORMAT.md`);
@@ -32,7 +33,9 @@
 //! schedule for reproducible chaos runs).
 //! `metrics --remote` scrapes a live daemon's observability registry
 //! (`docs/OBSERVABILITY.md`) and prints the text exposition; `--events`
-//! also drains the daemon's event ring as JSON-lines.
+//! also drains the daemon's event ring as JSON-lines. `shutdown
+//! --remote` drains the daemon: every open session is finalized and its
+//! counters row printed, and the daemon exits 0.
 //!
 //! Each subcommand takes its positional arguments first, then only the
 //! flags it uses. A usage error (an unknown subcommand, workload or
@@ -74,13 +77,14 @@ const METRICS: &[Flag] = &[REMOTE, Switch("--events")];
 
 /// Every subcommand: its name, its positional arguments, and the flags it
 /// takes.
-const COMMANDS: [(&str, &[&str], &[Flag]); 6] = [
+const COMMANDS: [(&str, &[&str], &[Flag]); 7] = [
     ("capture", &["<workload>", "<file>"], CAPTURE),
     ("capture-all", &["<dir>"], CAPTURE_ALL),
     ("info", &["<file>"], &[]),
     ("replay", &["<file>"], REPLAY),
     ("verify", &["<workload>", "<file>"], VERIFY),
     ("metrics", &[], METRICS),
+    ("shutdown", &[], &[REMOTE]),
 ];
 
 const USAGE: &str = "\
@@ -90,7 +94,8 @@ usage: tracegen capture <workload> <file> [--scale f] [--seed n] [--sync-every-f
        tracegen replay <file> --workload <w> [--predictor <p>] [--scale f]
                        [--remote HOST:PORT [--window n] [--retry [--retry-seed n]]]
        tracegen verify <workload> <file> [--scale f] [--seed n] [--repair]
-       tracegen metrics --remote HOST:PORT [--events]";
+       tracegen metrics --remote HOST:PORT [--events]
+       tracegen shutdown --remote HOST:PORT";
 
 /// A parsed invocation: everything a subcommand needs to run.
 #[derive(Debug, PartialEq)]
@@ -108,6 +113,8 @@ enum Command {
     Verify(Workload, String, Settings, bool),
     /// `metrics --remote <addr>`, and whether to drain the event ring.
     Metrics(String, bool),
+    /// `shutdown --remote <addr>`.
+    Shutdown(String),
 }
 
 /// Where and how `replay --remote` streams.
@@ -160,10 +167,14 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             let repair = args.switch("--repair");
             Command::Verify(workload_by_name(&pos[0])?, pos[1].clone(), settings, repair)
         }
-        _ => Command::Metrics(
+        "metrics" => Command::Metrics(
             args.value("--remote")?
                 .ok_or("metrics needs --remote HOST:PORT (a running stems-serve daemon)")?,
             args.switch("--events"),
+        ),
+        _ => Command::Shutdown(
+            args.value("--remote")?
+                .ok_or("shutdown needs --remote HOST:PORT (a running stems-serve daemon)")?,
         ),
     })
 }
@@ -410,6 +421,25 @@ fn metrics(addr: &str, drain_events: bool) -> ExitCode {
     }
 }
 
+/// Drains a live daemon: it finalizes every open session and sends back
+/// its summary, printed here as one counters row per session, then
+/// exits 0.
+fn shutdown(addr: &str) -> ExitCode {
+    match stems_client::Client::connect(addr).and_then(|mut client| client.shutdown_server()) {
+        Ok(summaries) => {
+            println!("{addr}: drained {} session(s)", summaries.len());
+            for s in &summaries {
+                counters_row(&format!("session {}", s.session), &s.counters);
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("shutdown failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn verify(workload: Workload, path: &str, settings: &Settings, repair: bool) -> ExitCode {
     if repair {
         match TraceReader::recover_tail(path) {
@@ -488,6 +518,7 @@ fn main() -> ExitCode {
             verify(workload, &file, &settings, repair)
         }
         Command::Metrics(addr, events) => metrics(&addr, events),
+        Command::Shutdown(addr) => shutdown(&addr),
     }
 }
 
@@ -680,5 +711,19 @@ mod tests {
         ];
         check(&accepted, &rejected);
         assert_eq!(parse(accepted[1]), Ok(Command::Metrics("h:1".into(), true)));
+    }
+
+    #[test]
+    fn shutdown_flags_accept_and_reject() {
+        let accepted = ["shutdown --remote 127.0.0.1:4909"];
+        let rejected = [
+            ("shutdown", "--remote"),
+            ("shutdown --remote", "--remote"),
+            ("shutdown --remote h:1 --events", "--events"),
+            ("shutdown stray --remote h:1", "\"stray\""),
+        ];
+        check(&accepted, &rejected);
+        let want = Command::Shutdown("127.0.0.1:4909".into());
+        assert_eq!(parse(accepted[0]), Ok(want));
     }
 }

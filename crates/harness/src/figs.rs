@@ -96,7 +96,7 @@ pub fn table1(_settings: Settings) -> String {
             w.name().to_string(),
             w.category().to_string(),
             prefetch_config(w).lookahead.to_string(),
-            format!("{:.0e}", w.invalidation_rate()),
+            format!("{:e}", w.invalidation_rate()),
         ]);
     }
     out.push_str(&apps.render());
@@ -464,6 +464,25 @@ pub fn recon_stats(settings: Settings) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Table 1's "inval rate" column prints the rate each workload's
+    /// sessions inject, to every digit: each cell parses back to
+    /// `Workload::invalidation_rate`.
+    #[test]
+    fn table1_prints_each_invalidation_rate_exactly() {
+        let out = table1(Settings::default());
+        let (_, apps) = out
+            .split_once("## Table 1: applications")
+            .expect("table 1 lists the applications");
+        for w in Workload::all() {
+            let row = apps
+                .lines()
+                .find(|row| row.split_whitespace().next() == Some(w.name()))
+                .unwrap_or_else(|| panic!("no row for {w}"));
+            let cell = row.split_whitespace().last().expect("a rate cell");
+            assert_eq!(cell.parse::<f64>(), Ok(w.invalidation_rate()), "{row}");
+        }
+    }
 
     /// The parallel cell runner must be invisible in the output: every
     /// figure rendered with one worker is byte-identical to the same

@@ -14,58 +14,42 @@
 //! line to stdout — CI counts those lines and reconciles them against
 //! the client's reported reconnects and the server's shed metrics.
 //!
-//! Runs until killed; rates default to 0 (a transparent proxy).
+//! Runs until killed; rates default to 0 (a transparent proxy). A usage
+//! error (an unknown argument, a missing `--upstream`, a missing or
+//! malformed value, or a rate outside `[0, 1]`) exits 2.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use stems_server::chaos::{ChaosConfig, ChaosProxy};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: stems-chaos --upstream HOST:PORT [--listen HOST:PORT] [--port-file PATH]\n\
-         \x20                  [--seed N] [--fault-rate F] [--delay-rate F] [--delay-ms N]\n\
-         \x20                  [--split-rate F]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "\
+usage: stems-chaos --upstream HOST:PORT [--listen HOST:PORT] [--port-file PATH]
+                   [--seed N] [--fault-rate F] [--delay-rate F] [--delay-ms N]
+                   [--split-rate F]";
+
+/// What the command line asks for.
+#[derive(Debug)]
+struct Options {
+    listen: String,
+    upstream: String,
+    port_file: Option<String>,
+    config: ChaosConfig,
 }
 
 fn main() -> ExitCode {
-    let mut listen = String::from("127.0.0.1:0");
-    let mut upstream: Option<String> = None;
-    let mut port_file: Option<String> = None;
-    let mut config = ChaosConfig {
-        verbose: true,
-        ..ChaosConfig::default()
-    };
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage();
-            })
-        };
-        match arg.as_str() {
-            "--listen" => listen = value("--listen"),
-            "--upstream" => upstream = Some(value("--upstream")),
-            "--port-file" => port_file = Some(value("--port-file")),
-            "--seed" => config.seed = parse_u64(&value("--seed")),
-            "--fault-rate" => config.fault_rate = parse_rate(&value("--fault-rate")),
-            "--delay-rate" => config.delay_rate = parse_rate(&value("--delay-rate")),
-            "--delay-ms" => config.delay = Duration::from_millis(parse_u64(&value("--delay-ms"))),
-            "--split-rate" => config.split_rate = parse_rate(&value("--split-rate")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        listen,
+        upstream,
+        port_file,
+        config,
+    } = match parse_args(&args) {
+        Ok(options) => options,
+        Err(e) => {
+            eprintln!("stems-chaos: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
-    }
-    let Some(upstream) = upstream else {
-        eprintln!("--upstream is required");
-        usage();
     };
 
     let proxy = match ChaosProxy::spawn(&listen, upstream.clone(), config) {
@@ -94,21 +78,113 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_u64(s: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("not a number: {s}");
-        usage();
+/// Parses the arguments (without the program name). An unknown argument,
+/// a missing `--upstream`, a missing or malformed value (a value that
+/// starts with `--` is a missing one), or a rate outside `[0, 1]` is an
+/// error naming the flag.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+    }
+    fn rate(flag: &str, value: &str) -> Result<f64, String> {
+        let rate: f64 = number(flag, value)?;
+        if (0.0..=1.0).contains(&rate) {
+            Ok(rate)
+        } else {
+            Err(format!("{flag} must be in [0, 1], got {value}"))
+        }
+    }
+    let mut listen = String::from("127.0.0.1:0");
+    let mut upstream = None;
+    let mut port_file = None;
+    let mut config = ChaosConfig {
+        verbose: true,
+        ..ChaosConfig::default()
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--listen" => listen = value()?.clone(),
+            "--upstream" => upstream = Some(value()?.clone()),
+            "--port-file" => port_file = Some(value()?.clone()),
+            "--seed" => config.seed = number(flag, value()?)?,
+            "--fault-rate" => config.fault_rate = rate(flag, value()?)?,
+            "--delay-rate" => config.delay_rate = rate(flag, value()?)?,
+            "--delay-ms" => config.delay = Duration::from_millis(number(flag, value()?)?),
+            "--split-rate" => config.split_rate = rate(flag, value()?)?,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(Options {
+        listen,
+        upstream: upstream.ok_or("--upstream HOST:PORT is required")?,
+        port_file,
+        config,
     })
 }
 
-fn parse_rate(s: &str) -> f64 {
-    let rate: f64 = s.parse().unwrap_or_else(|_| {
-        eprintln!("not a number: {s}");
-        usage();
-    });
-    if !(0.0..=1.0).contains(&rate) {
-        eprintln!("rate out of range [0, 1]: {s}");
-        usage();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
     }
-    rate
+
+    #[test]
+    fn parse_args_accepts_and_rejects() {
+        let bare = parse("--upstream 127.0.0.1:1").unwrap();
+        assert_eq!(
+            (bare.listen.as_str(), bare.port_file),
+            ("127.0.0.1:0", None)
+        );
+        let want = ChaosConfig {
+            verbose: true,
+            ..ChaosConfig::default()
+        };
+        assert_eq!(format!("{:?}", bare.config), format!("{want:?}"));
+        // The chaos smoke's line.
+        let ci = parse(
+            "--upstream 127.0.0.1:4909 --port-file /tmp/chaos_port --seed 12 --fault-rate 0.25 \
+             --split-rate 0.2",
+        )
+        .unwrap();
+        assert_eq!(ci.upstream, "127.0.0.1:4909");
+        assert_eq!(ci.port_file.as_deref(), Some("/tmp/chaos_port"));
+        let c = ci.config;
+        assert_eq!((c.seed, c.fault_rate, c.split_rate), (12, 0.25, 0.2));
+        let c = parse("--upstream h:1 --listen h:2 --delay-rate 1 --delay-ms 7")
+            .unwrap()
+            .config;
+        assert_eq!((c.delay_rate, c.delay), (1.0, Duration::from_millis(7)));
+
+        let rejected = [
+            // A flag where a value belongs is a missing value.
+            ("--upstream 127.0.0.1:1 --port-file --seed", "--port-file"),
+            ("--upstream --seed 5", "--upstream"),
+            ("--upstream h:1 --seed", "--seed"),
+            ("--seed 5", "--upstream"),
+            ("", "--upstream"),
+            ("--upstream h:1 --fault-rate 1.5", "--fault-rate"),
+            ("--upstream h:1 --fault-rate NaN", "--fault-rate"),
+            ("--upstream h:1 --split-rate -0.1", "--split-rate"),
+            ("--upstream h:1 --delay-ms x", "--delay-ms"),
+            ("--upstream h:1 --seed -1", "--seed"),
+            ("--upstream h:1 --help", "--help"),
+            ("--upstream h:1 stray", "\"stray\""),
+        ];
+        for (line, named) in rejected {
+            let err = parse(line).expect_err(&format!("{line} must be rejected"));
+            assert!(err.contains(named), "{line}: error names {named}: {err}");
+        }
+    }
 }

@@ -1,18 +1,16 @@
 //! Timing simulation for the STeMS reproduction (Figure 10).
 //!
-//! * [`model`] — a single-node ROB/MSHR/bandwidth timing model driven by
-//!   the functional coverage engine, reporting cycles and IPC;
-//! * [`multiproc`] — a lock-step multi-node run over the directory +
-//!   torus substrate (validates the coherence behaviour the single-node
-//!   harness approximates with invalidation injection).
+//! [`model`] is a single-node ROB/MSHR/bandwidth timing model driven by
+//! the functional coverage engine, reporting cycles and IPC. A session
+//! takes it on with [`SessionTiming::timing`].
 //!
 //! # Example
 //!
 //! ```
-//! use stems_core::engine::NullPrefetcher;
-//! use stems_core::{PrefetchConfig, TmsPrefetcher};
+//! use stems_core::session::{Predictor, Session};
+//! use stems_core::PrefetchConfig;
 //! use stems_memsim::SystemConfig;
-//! use stems_timing::{time_trace, TimingParams};
+//! use stems_timing::{SessionTiming, TimingParams};
 //! use stems_trace::{Access, Dependence, Trace};
 //! use stems_types::{Addr, Pc};
 //!
@@ -27,18 +25,18 @@
 //! let sys = SystemConfig::small();
 //! let cfg = PrefetchConfig::small();
 //! let params = TimingParams::from_system(&sys);
-//! let base = time_trace(&sys, &cfg, &params, NullPrefetcher, &t, None);
-//! let tms = time_trace(&sys, &cfg, &params, TmsPrefetcher::new(&cfg), &t, None);
-//! assert!(tms.cycles < base.cycles);
+//! let timed = |p| {
+//!     Session::builder(&sys)
+//!         .prefetch(&cfg)
+//!         .predictor(p)
+//!         .timing(&params)
+//!         .run(&t)
+//! };
+//! assert!(timed(Predictor::Tms).cycles < timed(Predictor::None).cycles);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod model;
-pub mod multiproc;
 
-pub use model::{
-    time_trace, SessionTiming, TimedSession, TimedSessionBuilder, TimingModel, TimingParams,
-    TimingReport,
-};
-pub use multiproc::{run_lockstep, MultiProcReport, NodeStats};
+pub use model::{SessionTiming, TimedSession, TimedSessionBuilder, TimingParams, TimingReport};

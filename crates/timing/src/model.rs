@@ -20,9 +20,8 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use stems_core::engine::{Counters, CoverageSim, Prefetcher, Satisfied, StepOutcome};
+use stems_core::engine::{Counters, Satisfied, StepOutcome};
 use stems_core::session::SessionBuilder;
-use stems_core::PrefetchConfig;
 use stems_memsim::SystemConfig;
 use stems_trace::{Access, Dependence, Trace};
 use stems_types::{fx_map_with_capacity, BlockAddr, FxHashMap};
@@ -60,7 +59,9 @@ impl TimingParams {
             l1_latency: sys.l1_latency,
             l2_latency: sys.l2_latency,
             svb_latency: 4,
-            // Average torus distance on the 4x4 torus is 2 hops.
+            // Table 1's 4x4 torus is two rings of four nodes. Along one
+            // ring the hop counts from any node are 0, 1, 2 and 1, so
+            // (0+1+2+1)/4 = 1 hop on average per ring, 2 hops in all.
             offchip_latency: sys.off_chip_latency_cycles(2),
             // 64B per fetch at ~21 GB/s of usable per-node bandwidth
             // (the 128 GB/s bisection is not uniformly contended) is one
@@ -176,13 +177,10 @@ fn acquire_scratch() -> Box<TimingScratch> {
 
 /// The ROB/MSHR/bandwidth core model as a step observer: feed it each
 /// access and the engine's [`StepOutcome`] in trace order, then
-/// [`TimingModel::finish`] with the finalized counters.
-///
-/// This is the state machine behind [`time_trace`], split out so a
-/// [`stems_core::session::Session`] can drive it through the batched
-/// `run_chunk_with` path.
+/// [`TimingModel::finish`] with the finalized counters. A
+/// [`TimedSession`] drives it through the batched `run_chunk_with` path.
 #[derive(Debug)]
-pub struct TimingModel {
+struct TimingModel {
     params: TimingParams,
     instr: u64,
     prev_complete: u64,
@@ -199,7 +197,7 @@ pub struct TimingModel {
 impl TimingModel {
     /// Creates a model at cycle zero, reusing a pooled scratch record
     /// when one is available on this thread.
-    pub fn new(params: &TimingParams) -> Self {
+    fn new(params: &TimingParams) -> Self {
         TimingModel {
             params: params.clone(),
             instr: 0,
@@ -213,7 +211,7 @@ impl TimingModel {
     }
 
     /// Accounts one access and the engine outcome that resolved it.
-    pub fn observe(&mut self, access: &Access, out: &StepOutcome) {
+    fn observe(&mut self, access: &Access, out: &StepOutcome) {
         let params = &self.params;
         let scratch = &mut **self.scratch.as_mut().expect("scratch present until drop");
         let block = access.addr.block();
@@ -306,7 +304,7 @@ impl TimingModel {
 
     /// Completes the run, pairing the timed cycles with the functional
     /// `counters` of the same run.
-    pub fn finish(self, counters: Counters) -> TimingReport {
+    fn finish(self, counters: Counters) -> TimingReport {
         TimingReport {
             cycles: self.end.max(1),
             instructions: self.instr,
@@ -330,27 +328,6 @@ impl Drop for TimingModel {
             }
         });
     }
-}
-
-/// Runs `prefetcher` over `trace` with full timing.
-///
-/// `invalidations` optionally enables coherence-invalidation injection
-/// `(rate, seed)` as in [`CoverageSim::with_invalidations`].
-pub fn time_trace<P: Prefetcher>(
-    sys: &SystemConfig,
-    cfg: &PrefetchConfig,
-    params: &TimingParams,
-    prefetcher: P,
-    trace: &Trace,
-    invalidations: Option<(f64, u64)>,
-) -> TimingReport {
-    let mut sim = CoverageSim::new(sys, cfg, prefetcher);
-    if let Some((rate, seed)) = invalidations {
-        sim = sim.with_invalidations(rate, seed);
-    }
-    let mut model = TimingModel::new(params);
-    sim.run_chunk_with(trace.as_slice(), |access, out| model.observe(access, out));
-    model.finish(sim.finalize())
 }
 
 /// Extends [`SessionBuilder`] with the timing model, completing the
@@ -449,10 +426,30 @@ impl TimedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stems_core::engine::NullPrefetcher;
+    use stems_core::engine::{CoverageSim, NullPrefetcher, Prefetcher};
     use stems_core::{PrefetchConfig, TmsPrefetcher};
-    use stems_trace::Access;
     use stems_types::{Addr, Pc};
+
+    /// Runs `prefetcher` over `trace` with full timing, straight on a
+    /// [`CoverageSim`]: the reference a [`TimedSession`] must match.
+    /// `invalidations` optionally enables coherence-invalidation
+    /// injection `(rate, seed)`.
+    fn time_trace<P: Prefetcher>(
+        sys: &SystemConfig,
+        cfg: &PrefetchConfig,
+        params: &TimingParams,
+        prefetcher: P,
+        trace: &Trace,
+        invalidations: Option<(f64, u64)>,
+    ) -> TimingReport {
+        let mut sim = CoverageSim::new(sys, cfg, prefetcher);
+        if let Some((rate, seed)) = invalidations {
+            sim = sim.with_invalidations(rate, seed);
+        }
+        let mut model = TimingModel::new(params);
+        sim.run_chunk_with(trace.as_slice(), |access, out| model.observe(access, out));
+        model.finish(sim.finalize())
+    }
 
     fn sys() -> SystemConfig {
         SystemConfig::small()

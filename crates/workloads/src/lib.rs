@@ -134,7 +134,10 @@ impl Workload {
 
     /// Coherence-invalidation injection rate standing in for the other 15
     /// nodes' writes (OLTP shares the buffer pool heavily; DSS scans
-    /// private data; em3d has 15% remote nodes).
+    /// private data; em3d has 15% remote nodes). The rates are set by hand
+    /// from those sharing patterns; the "Invalidation-rate provenance"
+    /// note in EXPERIMENTS.md records why a lock-step multi-node run of
+    /// these generators could not validate them.
     pub fn invalidation_rate(self) -> f64 {
         match self.category() {
             Category::Oltp => 3e-4,

@@ -11,7 +11,7 @@
 //! * [`core`] — the prefetchers: STeMS, TMS, SMS, stride, the naive
 //!   TMS+SMS hybrid, the trace-driven coverage engine, and the unified
 //!   `Session` API every driver goes through;
-//! * [`memsim`] — caches, the directory protocol, and the torus;
+//! * [`memsim`] — one node's caches and the Table 1 system parameters;
 //! * [`workloads`] — synthetic equivalents of the paper's ten
 //!   applications;
 //! * [`analysis`] — Sequitur, repetition classes, correlation distance,
