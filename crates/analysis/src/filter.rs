@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use stems_core::sms::spatial_index;
 use stems_core::util::LruTable;
-use stems_memsim::{Hierarchy, Level, SystemConfig};
+use stems_memsim::{Hierarchy, ProbeLevel, SystemConfig};
 use stems_trace::Trace;
 use stems_types::{BlockAddr, Pc, RegionAddr, SpatialPattern};
 
@@ -78,6 +78,7 @@ impl Default for GenState {
 /// and generation structure (see module docs).
 pub fn filter_trace(trace: &Trace, system: &SystemConfig) -> FilterOutput {
     let mut hierarchy = Hierarchy::new(system);
+    let mut l1_evicted = Vec::new();
     let mut agt: LruTable<RegionAddr, GenState> = LruTable::new(64);
     // Idealized SMS history: unbounded, most-recent pattern per index.
     let mut pht: HashMap<u64, SpatialPattern> = HashMap::new();
@@ -102,8 +103,9 @@ pub fn filter_trace(trace: &Trace, system: &SystemConfig) -> FilterOutput {
         let block = access.addr.block();
         let region = block.region();
         let offset = block.offset_in_region();
-        let outcome = hierarchy.access(block, !access.is_read());
-        for evicted in &outcome.l1_evicted {
+        l1_evicted.clear();
+        let level = hierarchy.probe(block, !access.is_read(), || false, &mut l1_evicted);
+        for evicted in &l1_evicted {
             let evicted_region = evicted.region();
             let ends = agt
                 .peek(&evicted_region)
@@ -145,7 +147,7 @@ pub fn filter_trace(trace: &Trace, system: &SystemConfig) -> FilterOutput {
             }
         }
 
-        if access.is_read() && outcome.level == Level::Memory {
+        if access.is_read() && level == ProbeLevel::Memory {
             let gen = agt.get(&region).expect("generation opened above");
             let trigger = !gen.had_miss;
             gen.had_miss = true;

@@ -374,10 +374,7 @@ impl Client {
         self.send(&Request::Metrics { drain_events })?;
         match self.read_response()? {
             Response::MetricsReply(reply) => Ok(*reply),
-            Response::Error { session, message } => Err(ClientError::Server { session, message }),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "MetricsReply",
-            }),
+            other => Err(refused(other, "MetricsReply")),
         }
     }
 
@@ -406,14 +403,7 @@ impl Client {
                     }
                     return Ok(summaries);
                 }
-                Response::Error { session, message } => {
-                    return Err(ClientError::Server { session, message })
-                }
-                _ => {
-                    return Err(ClientError::UnexpectedResponse {
-                        expected: "Summary or ShutdownAck",
-                    })
-                }
+                other => return Err(refused(other, "Summary or ShutdownAck")),
             }
         }
     }

@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use stems_core::protocol::{self, ChunkStats, OpenRequest, SessionSummary};
 use stems_trace::TraceReader;
+use stems_types::hash::splitmix64;
 
 use crate::{Client, ClientError};
 
@@ -66,15 +67,6 @@ impl Default for RetryPolicy {
             write_timeout: crate::DEFAULT_WRITE_TIMEOUT,
         }
     }
-}
-
-/// SplitMix64: the house mixer for deriving independent deterministic
-/// values from a seed (same finalizer the workload RNGs use).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl RetryPolicy {

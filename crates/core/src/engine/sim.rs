@@ -125,9 +125,9 @@ impl InvalidationInjector {
     }
 }
 
-/// Per-access outcome reported by [`CoverageSim::step`], consumed by the
-/// timing model (which needs to know where each access was satisfied and
-/// which prefetches were issued when).
+/// Per-access outcome that [`CoverageSim::run_chunk_with`] lends its
+/// visitor, consumed by the timing model (which needs to know where each
+/// access was satisfied and which prefetches were issued when).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepOutcome {
     /// Where the demand access was satisfied.
@@ -135,7 +135,7 @@ pub struct StepOutcome {
     /// Whether it was satisfied by a previously prefetched block (an SVB
     /// hit, or the first touch of an SMS-style L1 prefetch).
     pub prefetched_hit: bool,
-    /// Blocks fetched from off-chip by the prefetcher during this step,
+    /// Blocks fetched from off-chip by the prefetcher during this access,
     /// inline up to [`FetchList`]'s capacity so the common case performs
     /// no heap allocation.
     pub fetched: FetchList,
@@ -167,25 +167,24 @@ pub struct CoverageSim<P> {
     counters: Counters,
     prefetcher: P,
     /// [`Prefetcher::observes_l1_hits`] resolved once at construction
-    /// (the hint is documented state-independent), so neither the scalar
-    /// nor the batched path consults the prefetcher per access.
+    /// (the hint is documented state-independent), so the per-access
+    /// path never consults the prefetcher for it.
     observes_l1_hits: bool,
     injector: Option<InvalidationInjector>,
     scratch: StepScratch,
 }
 
-/// Buffers reused across [`CoverageSim::step`] calls so the per-access
-/// path performs no heap allocation in steady state: each step drains
-/// them but keeps their capacity.
+/// Buffers reused across accesses so the per-access path performs no
+/// heap allocation in steady state: each access drains them but keeps
+/// their capacity.
 #[derive(Debug)]
 struct StepScratch {
     l1_evicted: Vec<BlockAddr>,
     svb_evictions: Vec<(BlockAddr, StreamTag)>,
     l1_evictions: Vec<BlockAddr>,
     /// The latest access's outcome, cleared and refilled in place by
-    /// `step_core`: the batched path lends visitors a reference to it and
-    /// only the scalar `step` clones it, so no per-access outcome is
-    /// built or copied.
+    /// `step_core`: visitors borrow it, so no per-access outcome is built
+    /// or copied.
     outcome: StepOutcome,
 }
 
@@ -292,51 +291,21 @@ impl<P: Prefetcher> CoverageSim<P> {
         &self.counters
     }
 
-    /// Processes one access, returning where it was satisfied and which
-    /// prefetches were issued.
-    ///
-    /// This is the scalar wrapper around the same per-access core the
-    /// batched [`CoverageSim::run_chunk`] path drives; prefer the chunked
-    /// entry points when the accesses are already materialized in a
-    /// slice.
-    pub fn step(&mut self, access: &Access) -> StepOutcome {
-        self.maybe_invalidate();
-        self.counters.accesses += 1;
-        if access.is_read() {
-            self.counters.reads += 1;
-        }
-        let block = access.addr.block();
-        if let Some(inj) = &mut self.injector {
-            inj.observe(block);
-        }
-        let l1_base = self.hierarchy.l1_set_base(block);
-        self.step_core(access, block, l1_base, self.observes_l1_hits);
-        self.scratch.outcome.clone()
-    }
-
-    /// Processes `chunk` in one call, hoisting the per-access overheads
-    /// the scalar wrapper pays on every step: the injector presence
-    /// branch, the `observes_l1_hits` consult, and the access/read
-    /// counter bookkeeping (accumulated locally, committed per chunk).
-    /// Each access's block address and L1 set base are decoded ahead of
-    /// the per-access core and redeemed via `Hierarchy::probe_at`. (A
-    /// chunk-wide pre-decode pass staging them through a scratch vector
-    /// was measured 4-10% *slower* — the extra pass and buffer traffic
-    /// outweighed any vectorization of the address arithmetic — so the
-    /// decode stays per-access, just hoisted out of `step_core`.)
-    ///
-    /// Counters, prefetcher event order, and RNG streams are identical to
-    /// an access-by-access [`CoverageSim::step`] loop over the same
-    /// slice; only intermediate `accesses`/`reads` counter values differ
-    /// mid-chunk (both are committed by the time the call returns).
+    /// Processes `chunk` in one call, with the `observes_l1_hits` consult
+    /// and the access/read counter bookkeeping (accumulated locally,
+    /// committed per chunk) hoisted out of the per-access core. Counters,
+    /// prefetcher event order, and RNG streams do not depend on how a
+    /// trace is split into chunks; only intermediate `accesses`/`reads`
+    /// counter values differ mid-chunk (both are committed by the time
+    /// the call returns).
     pub fn run_chunk(&mut self, chunk: &[Access]) {
         self.run_chunk_with(chunk, |_, _| {});
     }
 
     /// [`CoverageSim::run_chunk`] with a per-access observer: `visit` is
     /// called with each access and its [`StepOutcome`] in trace order.
-    /// This is how the timing model consumes a batched run. The outcome
-    /// is borrowed from the simulator's one per-access record, which the
+    /// This is how the timing model consumes a run. The outcome is
+    /// borrowed from the simulator's one per-access record, which the
     /// next access overwrites: clone it to keep it.
     pub fn run_chunk_with(
         &mut self,
@@ -346,52 +315,33 @@ impl<P: Prefetcher> CoverageSim<P> {
         let observes_l1_hits = self.observes_l1_hits;
         self.counters.accesses += chunk.len() as u64;
         let mut reads: u64 = 0;
-        if self.injector.is_some() {
-            for access in chunk {
-                reads += access.is_read() as u64;
-                self.maybe_invalidate();
-                let block = access.addr.block();
-                if let Some(inj) = &mut self.injector {
-                    inj.observe(block);
-                }
-                let l1_base = self.hierarchy.l1_set_base(block);
-                self.step_core(access, block, l1_base, observes_l1_hits);
-                visit(access, &self.scratch.outcome);
+        for access in chunk {
+            reads += access.is_read() as u64;
+            self.maybe_invalidate();
+            let block = access.addr.block();
+            if let Some(inj) = &mut self.injector {
+                inj.observe(block);
             }
-        } else {
-            for access in chunk {
-                reads += access.is_read() as u64;
-                let block = access.addr.block();
-                let l1_base = self.hierarchy.l1_set_base(block);
-                self.step_core(access, block, l1_base, observes_l1_hits);
-                visit(access, &self.scratch.outcome);
-            }
+            self.step_core(access, block, observes_l1_hits);
+            visit(access, &self.scratch.outcome);
         }
         self.counters.reads += reads;
     }
 
-    /// The per-access core shared by [`CoverageSim::step`] and the
-    /// chunked paths: cache/SVB resolution, counter classification, event
-    /// delivery, and eviction hooks, writing the access's outcome into
+    /// The per-access core of [`CoverageSim::run_chunk_with`]:
+    /// cache/SVB resolution, counter classification, event delivery, and
+    /// eviction hooks, writing the access's outcome into
     /// `scratch.outcome`. Counter bookkeeping for `accesses`/`reads`,
-    /// invalidation injection, and the block/L1-set-base decode
-    /// (`l1_base` must equal `hierarchy.l1_set_base(block)`) happen in
-    /// the callers.
-    fn step_core(
-        &mut self,
-        access: &Access,
-        block: BlockAddr,
-        l1_base: usize,
-        observes_l1_hits: bool,
-    ) {
+    /// invalidation injection, and the block decode happen in the caller.
+    fn step_core(&mut self, access: &Access, block: BlockAddr, observes_l1_hits: bool) {
         let is_write = !access.is_read();
 
         self.scratch.l1_evicted.clear();
         self.scratch.outcome.fetched.clear();
         let mut prefetched_hit = false;
-        // Single-pass probe: the pre-decoded L1 set base resolves the
-        // whole SVB/L1/L2 pipeline, with the SVB consulted (exactly once)
-        // only after the L1 missed, and evictions appended to scratch.
+        // Single-pass probe: one call resolves the whole SVB/L1/L2
+        // pipeline, with the SVB consulted (exactly once) only after the
+        // L1 missed, and evictions appended to scratch.
         let Self {
             hierarchy,
             svb,
@@ -399,8 +349,7 @@ impl<P: Prefetcher> CoverageSim<P> {
             ..
         } = self;
         let mut svb_tag = None;
-        let level = hierarchy.probe_at(
-            l1_base,
+        let level = hierarchy.probe(
             block,
             is_write,
             || {
@@ -815,8 +764,8 @@ mod tests {
     /// the fetches reported across `run_chunk_with` sum to the final
     /// `fetches` counter, and an L1 hit under a predictor that ignores L1
     /// hits reports none. An outcome record left stale from an earlier
-    /// access breaks both — which the scalar-versus-batched comparisons
-    /// cannot see, since both sides read the same record.
+    /// access breaks both — which the chunk-size comparisons cannot see,
+    /// since both sides read the same record.
     #[test]
     fn outcome_stream_accounts_for_every_fetch() {
         use crate::session::Predictor;

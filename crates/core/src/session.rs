@@ -292,16 +292,6 @@ impl SessionBuilder {
         self
     }
 
-    /// The system configuration this builder was created with.
-    pub fn system(&self) -> &SystemConfig {
-        &self.system
-    }
-
-    /// The prefetcher configuration currently selected.
-    pub fn prefetch_config(&self) -> &PrefetchConfig {
-        &self.prefetch
-    }
-
     /// Builds the session with empty caches.
     pub fn build(self) -> Session {
         let prefetcher = self.predictor.build(&self.prefetch);
@@ -322,10 +312,10 @@ impl SessionBuilder {
 /// One configured simulation run: the cache hierarchy, SVB, and chosen
 /// predictor behind a single driving interface.
 ///
-/// [`Session::run_chunk`] is the primary entry point — it amortizes the
-/// per-access overheads over a whole slice of accesses; [`Session::step`]
-/// remains as the scalar wrapper for callers that interleave their own
-/// work between accesses.
+/// [`Session::run_chunk`] is the one way accesses enter the engine: it
+/// amortizes the per-access overheads over a whole slice of accesses,
+/// and a caller that interleaves its own work between accesses delivers
+/// one-access chunks.
 #[derive(Debug)]
 pub struct Session {
     sim: CoverageSim<AnyPrefetcher>,
@@ -351,8 +341,8 @@ impl Session {
         self.obs = Some(hook);
     }
 
-    /// Delivers a batch of accesses to the engine (the primary entry
-    /// point; see [`CoverageSim::run_chunk`]).
+    /// Delivers a batch of accesses to the engine (see
+    /// [`CoverageSim::run_chunk`]).
     pub fn run_chunk(&mut self, chunk: &[Access]) {
         match &self.obs {
             None => self.sim.run_chunk(chunk),
@@ -389,11 +379,6 @@ impl Session {
             fed += len;
         }
         Ok(fed)
-    }
-
-    /// Processes one access (thin scalar wrapper over the batched core).
-    pub fn step(&mut self, access: &Access) -> StepOutcome {
-        self.sim.step(access)
     }
 
     /// Runs the whole trace through the batched path and finalizes.
@@ -635,6 +620,8 @@ mod tests {
         assert_eq!(reg.counter("stems_chunks_total").get(), 5);
     }
 
+    /// Scalar stepping is delivery in one-access chunks: every larger
+    /// chunking must reproduce its counters and outcome stream.
     #[test]
     fn scalar_step_equals_batched_run_chunk() {
         let mut trace = Trace::new();
@@ -656,18 +643,17 @@ mod tests {
                     .invalidations(0.02, 5)
                     .build()
             };
-            let scalar = {
+            let run = |chunk_size: usize| {
                 let mut s = build();
-                let outs: Vec<StepOutcome> = trace.iter().map(|a| s.step(a)).collect();
-                (s.finalize(), outs)
-            };
-            for chunk_size in [1, 7, 64, trace.len()] {
-                let mut s = build();
-                let mut outs = Vec::new();
+                let mut outs: Vec<StepOutcome> = Vec::new();
                 for chunk in trace.as_slice().chunks(chunk_size) {
                     s.run_chunk_with(chunk, |_, out| outs.push(out.clone()));
                 }
-                let counters = s.finalize();
+                (s.finalize(), outs)
+            };
+            let scalar = run(1);
+            for chunk_size in [7, 64, trace.len()] {
+                let (counters, outs) = run(chunk_size);
                 assert_eq!(counters, scalar.0, "{p} chunk {chunk_size}: counters");
                 assert_eq!(outs, scalar.1, "{p} chunk {chunk_size}: outcomes");
             }

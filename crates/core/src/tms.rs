@@ -179,16 +179,10 @@ mod tests {
     fn first_iteration_trains_second_streams() {
         let cfg = PrefetchConfig::small();
         let mut sim = CoverageSim::new(&SystemConfig::small(), &cfg, TmsPrefetcher::new(&cfg));
-        let c1 = {
-            for a in looping_trace(256, 1).iter() {
-                sim.step(a);
-            }
-            *sim.counters()
-        };
+        sim.run_chunk(looping_trace(256, 1).as_slice());
+        let c1 = *sim.counters();
         assert_eq!(c1.covered, 0, "first pass has no history");
-        for a in looping_trace(256, 1).iter() {
-            sim.step(a);
-        }
+        sim.run_chunk(looping_trace(256, 1).as_slice());
         let c2 = sim.finalize();
         assert!(c2.covered > 128, "second pass should stream: {:?}", c2);
         assert!(sim.prefetcher().streams_started() >= 1);

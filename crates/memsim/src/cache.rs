@@ -108,12 +108,9 @@ impl Cache {
         (block.get() & self.set_mask) as usize
     }
 
-    /// Way-array base of the set holding `block`. Public so a batched
-    /// caller can pre-decode set bases for a whole chunk of accesses and
-    /// redeem them through [`Cache::probe_at`]; the value is only
-    /// meaningful for this cache instance.
+    /// Way-array base of the set holding `block`.
     #[inline]
-    pub fn set_base(&self, block: BlockAddr) -> usize {
+    fn set_base(&self, block: BlockAddr) -> usize {
         self.set_index(block) * self.associativity
     }
 
@@ -310,15 +307,7 @@ impl Cache {
     /// block.
     #[inline]
     pub fn probe(&mut self, block: BlockAddr, is_write: bool) -> Option<MissedSet> {
-        self.probe_at(self.set_base(block), block, is_write)
-    }
-
-    /// [`Cache::probe`] with the set base already computed (by
-    /// [`Cache::set_base`]): the tag/set arithmetic is skipped,
-    /// everything else is identical.
-    #[inline]
-    pub fn probe_at(&mut self, base: usize, block: BlockAddr, is_write: bool) -> Option<MissedSet> {
-        debug_assert_eq!(base, self.set_base(block), "pre-decoded base mismatch");
+        let base = self.set_base(block);
         if let Some(w) = self.find(base, block) {
             self.dirty[base + w] |= is_write;
             self.touch(base, w);

@@ -14,29 +14,6 @@ use stems_types::BlockAddr;
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 
-/// The level of the hierarchy that satisfied an access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Level {
-    /// L1 data cache hit.
-    #[default]
-    L1,
-    /// L1 miss, L2 hit.
-    L2,
-    /// Off-chip: missed both levels. These are the misses every prefetcher
-    /// in the paper targets.
-    Memory,
-}
-
-/// Result of a demand access through the hierarchy.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HierarchyOutcome {
-    /// Where the access was satisfied.
-    pub level: Level,
-    /// Blocks removed from the L1 by this access (demand eviction plus any
-    /// inclusion-driven back-invalidations). Ends spatial generations.
-    pub l1_evicted: Vec<BlockAddr>,
-}
-
 /// Where a single-pass [`Hierarchy::probe`] resolved the access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProbeLevel {
@@ -68,18 +45,6 @@ impl Hierarchy {
         }
     }
 
-    /// Performs a demand access; allocates into both levels on miss.
-    pub fn access(&mut self, block: BlockAddr, is_write: bool) -> HierarchyOutcome {
-        let mut l1_evicted = Vec::new();
-        let level = match self.probe(block, is_write, || false, &mut l1_evicted) {
-            ProbeLevel::L1 => Level::L1,
-            ProbeLevel::L2 => Level::L2,
-            ProbeLevel::Memory => Level::Memory,
-            ProbeLevel::Svb => unreachable!("no interposed buffer was offered"),
-        };
-        HierarchyOutcome { level, l1_evicted }
-    }
-
     /// Single-pass demand probe: resolves L1-hit / interposed-buffer hit /
     /// L1-miss+L2-hit / full-miss in one call, with **one** L1 tag/set
     /// computation and caller-owned eviction scratch.
@@ -104,34 +69,7 @@ impl Hierarchy {
         svb_take: impl FnOnce() -> bool,
         l1_evicted: &mut Vec<BlockAddr>,
     ) -> ProbeLevel {
-        self.probe_at(
-            self.l1.set_base(block),
-            block,
-            is_write,
-            svb_take,
-            l1_evicted,
-        )
-    }
-
-    /// The L1 way-array base for `block`, for a per-access pre-decode:
-    /// compute up front, redeem with [`Hierarchy::probe_at`].
-    #[inline]
-    pub fn l1_set_base(&self, block: BlockAddr) -> usize {
-        self.l1.set_base(block)
-    }
-
-    /// [`Hierarchy::probe`] with the L1 set base already computed (by
-    /// [`Hierarchy::l1_set_base`]); behavior is otherwise identical.
-    #[inline]
-    pub fn probe_at(
-        &mut self,
-        l1_base: usize,
-        block: BlockAddr,
-        is_write: bool,
-        svb_take: impl FnOnce() -> bool,
-        l1_evicted: &mut Vec<BlockAddr>,
-    ) -> ProbeLevel {
-        let Some(missed) = self.l1.probe_at(l1_base, block, is_write) else {
+        let Some(missed) = self.l1.probe(block, is_write) else {
             return ProbeLevel::L1;
         };
         if svb_take() {
@@ -228,30 +166,35 @@ mod tests {
         Hierarchy::new(&SystemConfig::small())
     }
 
+    /// One demand read with no interposed buffer: where it resolved and
+    /// the blocks it removed from the L1.
+    fn read(h: &mut Hierarchy, block: u64) -> (ProbeLevel, Vec<BlockAddr>) {
+        let mut evicted = Vec::new();
+        let level = h.probe(BlockAddr::new(block), false, || false, &mut evicted);
+        (level, evicted)
+    }
+
     #[test]
     fn miss_levels_in_order() {
         let mut h = small();
-        let b = BlockAddr::new(77);
-        assert_eq!(h.access(b, false).level, Level::Memory);
-        assert_eq!(h.access(b, false).level, Level::L1);
+        assert_eq!(read(&mut h, 77).0, ProbeLevel::Memory);
+        assert_eq!(read(&mut h, 77).0, ProbeLevel::L1);
         // Evict from L1 only (L1 is 4KB 2-way = 32 sets; same set = +32*k).
-        let conflict1 = BlockAddr::new(77 + 32);
-        let conflict2 = BlockAddr::new(77 + 64);
-        h.access(conflict1, false);
-        h.access(conflict2, false);
+        read(&mut h, 77 + 32);
+        read(&mut h, 77 + 64);
+        let b = BlockAddr::new(77);
         assert!(!h.in_l1(b));
         assert!(h.in_l2(b));
-        assert_eq!(h.access(b, false).level, Level::L2);
+        assert_eq!(read(&mut h, 77).0, ProbeLevel::L2);
     }
 
     #[test]
     fn l1_eviction_is_reported() {
         let mut h = small();
-        let b0 = BlockAddr::new(0);
-        h.access(b0, false);
-        h.access(BlockAddr::new(32), false);
-        let out = h.access(BlockAddr::new(64), false);
-        assert!(out.l1_evicted.contains(&b0));
+        read(&mut h, 0);
+        read(&mut h, 32);
+        let (_, evicted) = read(&mut h, 64);
+        assert!(evicted.contains(&BlockAddr::new(0)));
     }
 
     #[test]
@@ -270,12 +213,12 @@ mod tests {
         };
         let mut h = Hierarchy::new(&cfg);
         let b = BlockAddr::new(0);
-        h.access(b, false);
+        read(&mut h, 0);
         assert!(h.in_l1(b));
         // Block 2 maps to the same L2 set (even), evicting b from L2 and,
         // by inclusion, from L1.
-        let out = h.access(BlockAddr::new(2), false);
-        assert!(out.l1_evicted.contains(&b));
+        let (_, evicted) = read(&mut h, 2);
+        assert!(evicted.contains(&b));
         assert!(!h.in_l1(b));
         assert!(!h.in_l2(b));
     }
@@ -284,7 +227,7 @@ mod tests {
     fn invalidate_clears_both_levels() {
         let mut h = small();
         let b = BlockAddr::new(9);
-        h.access(b, false);
+        read(&mut h, 9);
         assert!(h.invalidate(b));
         assert!(!h.in_l1(b));
         assert!(!h.in_l2(b));
@@ -302,7 +245,7 @@ mod tests {
         assert!(h.in_l2(b));
         assert_eq!(h.l1_misses(), 0);
         assert_eq!(h.l2_misses(), 0);
-        assert_eq!(h.access(b, false).level, Level::L1);
+        assert_eq!(read(&mut h, 123).0, ProbeLevel::L1);
     }
 
     #[test]
@@ -347,7 +290,7 @@ mod tests {
     fn miss_counters_accumulate() {
         let mut h = small();
         for i in 0..10 {
-            h.access(BlockAddr::new(i * 1000), false);
+            read(&mut h, i * 1000);
         }
         assert_eq!(h.l1_misses(), 10);
         assert_eq!(h.l2_misses(), 10);

@@ -16,14 +16,16 @@
 //! # Example
 //!
 //! ```
-//! use stems_memsim::{Hierarchy, Level, SystemConfig};
+//! use stems_memsim::{Hierarchy, ProbeLevel, SystemConfig};
 //! use stems_types::BlockAddr;
 //!
 //! let cfg = SystemConfig::default();
 //! let mut h = Hierarchy::new(&cfg);
 //! let b = BlockAddr::new(42);
-//! assert_eq!(h.access(b, false).level, Level::Memory); // cold miss
-//! assert_eq!(h.access(b, false).level, Level::L1);     // now cached
+//! let mut evicted = Vec::new();
+//! // Demand reads, with no streamed value buffer to consult.
+//! assert_eq!(h.probe(b, false, || false, &mut evicted), ProbeLevel::Memory); // cold miss
+//! assert_eq!(h.probe(b, false, || false, &mut evicted), ProbeLevel::L1); // now cached
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,4 +36,4 @@ pub mod hierarchy;
 
 pub use cache::{Cache, CacheOutcome, Evicted, MissedSet};
 pub use config::{CacheConfig, SystemConfig};
-pub use hierarchy::{Hierarchy, HierarchyOutcome, Level, ProbeLevel};
+pub use hierarchy::{Hierarchy, ProbeLevel};

@@ -193,7 +193,7 @@ proptest! {
             let block = BlockAddr::new(block);
             match op {
                 0 => {
-                    h.access(block, false);
+                    h.probe(block, false, || false, &mut Vec::new());
                 }
                 1 => {
                     h.fill_into(block, &mut Vec::new());

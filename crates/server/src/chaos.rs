@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use stems_types::hash::splitmix64;
 use stems_types::wire::HELLO_BYTES;
 
 /// Fatal faults are scheduled at a byte offset in
@@ -101,14 +102,6 @@ impl ChaosLog {
             + self.dropped.load(Ordering::SeqCst)
             + self.corrupted.load(Ordering::SeqCst)
     }
-}
-
-/// SplitMix64, the house mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Tiny deterministic RNG: a SplitMix64 counter stream.

@@ -326,6 +326,41 @@ fn refused_open_fails_fast_under_the_default_retry_policy() {
     handle.join().unwrap().expect("server run");
 }
 
+/// Connections past `max_connections` are shed at the door: each one's
+/// first request, whether `open`, `metrics` or `shutdown_server`, gets
+/// a typed (retryable) `Busy`, and the held connection's scrape counts
+/// every shed connection and every `Busy` reply before it drains the
+/// server.
+#[test]
+fn connections_past_the_cap_are_shed_with_busy() {
+    let (addr, handle) = start_server(ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+    let mut held = Client::connect(addr).expect("connect");
+    let (_, sys, cfg, inval) = golden_configs().into_iter().next().unwrap();
+    let open = open_request(&sys, &cfg, Predictor::Stems, inval);
+    for request in ["open", "metrics", "shutdown_server"] {
+        let mut client = Client::connect(addr).expect("connect");
+        let err = match request {
+            "open" => client.open(&open).map(drop),
+            "metrics" => client.metrics(false).map(drop),
+            _ => client.shutdown_server().map(drop),
+        }
+        .expect_err(request);
+        assert!(
+            matches!(err, ClientError::Busy { session: None, .. }),
+            "{request}: want Busy, got {err:?}"
+        );
+        assert!(err.is_transient(), "{request}: {err}");
+    }
+    let scrape = held.metrics(false).expect("scrape").exposition;
+    assert_eq!(sample(&scrape, "stems_connections_shed_total"), 3);
+    assert_eq!(sample(&scrape, "stems_busy_total"), 3);
+    assert!(held.shutdown_server().expect("shutdown").is_empty());
+    handle.join().unwrap().expect("server run");
+}
+
 /// Sends one correctly framed and checksummed `SeqChunk` carrying
 /// `columns` as its record columns over a fresh connection, and returns
 /// the server's reply.

@@ -39,4 +39,4 @@
 
 pub mod model;
 
-pub use model::{SessionTiming, TimedSession, TimedSessionBuilder, TimingParams, TimingReport};
+pub use model::{SessionTiming, TimedSessionBuilder, TimingParams, TimingReport};

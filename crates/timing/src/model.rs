@@ -17,7 +17,6 @@
 //! dependence, and MSHR availability, then completes after the latency of
 //! the level that satisfied it.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use stems_core::engine::{Counters, Satisfied, StepOutcome};
@@ -113,72 +112,11 @@ impl TimingReport {
     }
 }
 
-/// The per-access event records of the timing model: the ROB retirement
-/// window, MSHR occupancy, and in-flight prefetch arrival times.
-///
-/// Allocated once and recycled across runs through a thread-local pool
-/// (the ROADMAP-named candidate): every `run_timing` cell used to pay a
-/// fresh `VecDeque`/hash-map growth curve; a recycled scratch starts at
-/// the high-water capacity of the previous run on the same worker
-/// thread.
-#[derive(Debug)]
-struct TimingScratch {
-    /// (instruction index, retire time) per past access, pending ROB
-    /// exit.
-    window: VecDeque<(u64, u64)>,
-    /// Completion times of outstanding off-chip accesses (MSHR
-    /// occupancy).
-    mshr_q: VecDeque<u64>,
-    /// Arrival times of in-flight/banked prefetched blocks.
-    ready: FxHashMap<BlockAddr, u64>,
-}
-
-/// Capacity above which [`TimingScratch::reset`] gives memory back
-/// instead of parking it in the pool: generously above any steady-state
-/// run's needs (the ROB window holds ≤ `rob` entries, the MSHR queue ≤
-/// `mshrs`; only the `ready` map can balloon under pathological
-/// prefetch bursts).
-const SCRATCH_RETAIN_CAPACITY: usize = 1 << 16;
-
-impl TimingScratch {
-    fn fresh() -> Box<TimingScratch> {
-        Box::new(TimingScratch {
-            window: VecDeque::new(),
-            mshr_q: VecDeque::new(),
-            ready: fx_map_with_capacity(1024),
-        })
-    }
-
-    /// Drains all records, keeping their capacity for the next run —
-    /// except buffers a pathological run grew past
-    /// [`SCRATCH_RETAIN_CAPACITY`], which are shrunk so the pool never
-    /// pins a high-water footprint for the thread's lifetime.
-    fn reset(&mut self) {
-        self.window.clear();
-        self.window.shrink_to(SCRATCH_RETAIN_CAPACITY);
-        self.mshr_q.clear();
-        self.mshr_q.shrink_to(SCRATCH_RETAIN_CAPACITY);
-        self.ready.clear();
-        self.ready.shrink_to(SCRATCH_RETAIN_CAPACITY);
-    }
-}
-
-thread_local! {
-    /// Per-thread pool of retired [`TimingScratch`] records. One slot is
-    /// enough: timing runs do not nest within a worker thread.
-    static SCRATCH_POOL: RefCell<Option<Box<TimingScratch>>> = const { RefCell::new(None) };
-}
-
-fn acquire_scratch() -> Box<TimingScratch> {
-    SCRATCH_POOL
-        .with(|pool| pool.borrow_mut().take())
-        .unwrap_or_else(TimingScratch::fresh)
-}
-
 /// The ROB/MSHR/bandwidth core model as a step observer: feed it each
 /// access and the engine's [`StepOutcome`] in trace order, then
-/// [`TimingModel::finish`] with the finalized counters. A
-/// [`TimedSession`] drives it through the batched `run_chunk_with` path.
+/// [`TimingModel::finish`] with the finalized counters.
+/// [`TimedSessionBuilder::run`] drives it through the session's
+/// `run_chunk_with`.
 #[derive(Debug)]
 struct TimingModel {
     params: TimingParams,
@@ -189,14 +127,18 @@ struct TimingModel {
     /// Next cycle the off-chip fetch port is free.
     bw_free: u64,
     end: u64,
-    /// `Some` until Drop retires it into the pool — an `Option` so the
-    /// drop path can move the box out without allocating a replacement.
-    scratch: Option<Box<TimingScratch>>,
+    /// (instruction index, retire time) per past access, pending ROB
+    /// exit.
+    window: VecDeque<(u64, u64)>,
+    /// Completion times of outstanding off-chip accesses (MSHR
+    /// occupancy).
+    mshr_q: VecDeque<u64>,
+    /// Arrival times of in-flight/banked prefetched blocks.
+    ready: FxHashMap<BlockAddr, u64>,
 }
 
 impl TimingModel {
-    /// Creates a model at cycle zero, reusing a pooled scratch record
-    /// when one is available on this thread.
+    /// Creates a model at cycle zero.
     fn new(params: &TimingParams) -> Self {
         TimingModel {
             params: params.clone(),
@@ -206,14 +148,15 @@ impl TimingModel {
             rob_floor: 0,
             bw_free: 0,
             end: 0,
-            scratch: Some(acquire_scratch()),
+            window: VecDeque::new(),
+            mshr_q: VecDeque::new(),
+            ready: fx_map_with_capacity(1024),
         }
     }
 
     /// Accounts one access and the engine outcome that resolved it.
     fn observe(&mut self, access: &Access, out: &StepOutcome) {
         let params = &self.params;
-        let scratch = &mut **self.scratch.as_mut().expect("scratch present until drop");
         let block = access.addr.block();
         self.instr += access.work_before as u64 + 1;
 
@@ -222,10 +165,10 @@ impl TimingModel {
         // ROB: everything more than `rob` instructions older must have
         // retired before this access can dispatch.
         let limit = self.instr.saturating_sub(params.rob);
-        while let Some(&(idx, retire)) = scratch.window.front() {
+        while let Some(&(idx, retire)) = self.window.front() {
             if idx <= limit {
                 self.rob_floor = self.rob_floor.max(retire);
-                scratch.window.pop_front();
+                self.window.pop_front();
             } else {
                 break;
             }
@@ -241,38 +184,38 @@ impl TimingModel {
                 if out.prefetched_hit {
                     // First touch of an SMS-prefetched block: wait for its
                     // fetch to arrive if it has not yet.
-                    let arrive = scratch.ready.remove(&block).unwrap_or(0);
+                    let arrive = self.ready.remove(&block).unwrap_or(0);
                     params.l1_latency + arrive.saturating_sub(t)
                 } else {
                     params.l1_latency
                 }
             }
             Satisfied::Svb(_) => {
-                let arrive = scratch.ready.remove(&block).unwrap_or(0);
+                let arrive = self.ready.remove(&block).unwrap_or(0);
                 params.svb_latency + arrive.saturating_sub(t)
             }
             Satisfied::L2 => params.l2_latency,
             Satisfied::OffChip => {
                 // MSHR admission.
-                while let Some(&done) = scratch.mshr_q.front() {
+                while let Some(&done) = self.mshr_q.front() {
                     if done <= t {
-                        scratch.mshr_q.pop_front();
+                        self.mshr_q.pop_front();
                     } else {
                         break;
                     }
                 }
-                if scratch.mshr_q.len() >= params.mshrs {
-                    t = t.max(scratch.mshr_q.pop_front().expect("mshr queue nonempty"));
+                if self.mshr_q.len() >= params.mshrs {
+                    t = t.max(self.mshr_q.pop_front().expect("mshr queue nonempty"));
                 }
                 // Bandwidth: the demand fetch occupies the off-chip port.
                 let start = t.max(self.bw_free);
                 self.bw_free = start + params.fetch_bw_cycles;
                 let complete_in = (start - t) + params.offchip_latency;
-                let pos = scratch
+                let pos = self
                     .mshr_q
                     .binary_search(&(t + complete_in))
                     .unwrap_or_else(|e| e);
-                scratch.mshr_q.insert(pos, t + complete_in);
+                self.mshr_q.insert(pos, t + complete_in);
                 complete_in
             }
         };
@@ -282,23 +225,21 @@ impl TimingModel {
         for fetched in &out.fetched {
             let start = t.max(self.bw_free);
             self.bw_free = start + params.fetch_bw_cycles;
-            scratch
-                .ready
-                .insert(*fetched, start + params.offchip_latency);
+            self.ready.insert(*fetched, start + params.offchip_latency);
         }
 
         let complete = t + latency;
         self.prev_complete = complete;
         self.prev_retire = self.prev_retire.max(complete);
-        scratch.window.push_back((self.instr, self.prev_retire));
+        self.window.push_back((self.instr, self.prev_retire));
         self.end = self
             .end
             .max(self.prev_retire)
             .max(self.instr / params.width);
 
         // Bound the in-flight bookkeeping.
-        if scratch.ready.len() > 1 << 20 {
-            scratch.ready.clear();
+        if self.ready.len() > 1 << 20 {
+            self.ready.clear();
         }
     }
 
@@ -310,23 +251,6 @@ impl TimingModel {
             instructions: self.instr,
             counters,
         }
-    }
-}
-
-impl Drop for TimingModel {
-    /// Retires the scratch record into the thread-local pool so the next
-    /// run on this thread starts at the previous (bounded) capacity.
-    fn drop(&mut self) {
-        let Some(mut scratch) = self.scratch.take() else {
-            return;
-        };
-        scratch.reset();
-        SCRATCH_POOL.with(|pool| {
-            let mut slot = pool.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(scratch);
-            }
-        });
     }
 }
 
@@ -374,52 +298,14 @@ pub struct TimedSessionBuilder {
 }
 
 impl TimedSessionBuilder {
-    /// Builds the timed session with empty caches at cycle zero.
-    pub fn build(self) -> TimedSession {
-        TimedSession {
-            session: self.session.build(),
-            model: TimingModel::new(&self.params),
-        }
-    }
-
-    /// Convenience: builds the session, runs the whole trace through the
-    /// batched path, and returns the timing report.
+    /// Builds the session with empty caches at cycle zero, runs the
+    /// whole trace through the engine and the timing model, and returns
+    /// the timing report.
     pub fn run(self, trace: &Trace) -> TimingReport {
-        self.build().run(trace)
-    }
-}
-
-/// A [`stems_core::session::Session`] whose outcomes feed the timing
-/// model as they are produced by the batched engine path.
-#[derive(Debug)]
-pub struct TimedSession {
-    session: stems_core::session::Session,
-    model: TimingModel,
-}
-
-impl TimedSession {
-    /// Delivers a batch of accesses to the engine and the timing model.
-    pub fn run_chunk(&mut self, chunk: &[Access]) {
-        let model = &mut self.model;
-        self.session
-            .run_chunk_with(chunk, |access, out| model.observe(access, out));
-    }
-
-    /// The functional session under the timing model.
-    pub fn session(&self) -> &stems_core::session::Session {
-        &self.session
-    }
-
-    /// Finalizes the functional counters and completes the report.
-    pub fn finish(self) -> TimingReport {
-        let TimedSession { mut session, model } = self;
+        let mut session = self.session.build();
+        let mut model = TimingModel::new(&self.params);
+        session.run_chunk_with(trace.as_slice(), |access, out| model.observe(access, out));
         model.finish(session.finalize())
-    }
-
-    /// Runs the whole trace and finishes.
-    pub fn run(mut self, trace: &Trace) -> TimingReport {
-        self.run_chunk(trace.as_slice());
-        self.finish()
     }
 }
 
@@ -431,7 +317,7 @@ mod tests {
     use stems_types::{Addr, Pc};
 
     /// Runs `prefetcher` over `trace` with full timing, straight on a
-    /// [`CoverageSim`]: the reference a [`TimedSession`] must match.
+    /// [`CoverageSim`]: the reference a timed session must match.
     /// `invalidations` optionally enables coherence-invalidation
     /// injection `(rate, seed)`.
     fn time_trace<P: Prefetcher>(
@@ -591,20 +477,6 @@ mod tests {
                 .run(&t);
             assert_eq!(direct, via_session, "{p}");
         }
-    }
-
-    /// The thread-local scratch pool must be invisible in the results:
-    /// back-to-back runs on one thread (the second reusing the first's
-    /// retired records) report identical cycles and counters.
-    #[test]
-    fn pooled_scratch_does_not_change_results() {
-        let mut t = Trace::new();
-        for i in 0..500u64 {
-            t.push(Access::read(Pc::new(1), Addr::new((i % 96) * (1 << 21))).with_work(2));
-        }
-        let first = run_null(&t);
-        let second = run_null(&t);
-        assert_eq!(first, second);
     }
 
     #[test]

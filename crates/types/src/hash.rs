@@ -85,6 +85,18 @@ pub fn fx_hash_u64(key: u64) -> u64 {
     key.wrapping_mul(SEED)
 }
 
+/// SplitMix64's finalizer: a bijective, fixed-point-free scrambler that
+/// derives independent deterministic values from a seed or a counter
+/// (the workload generators, the retry jitter, and the chaos proxy's
+/// fault plans all draw from it).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

@@ -1,14 +1,12 @@
 //! An inline small-vector for per-access result lists.
 //!
-//! [`CoverageSim::step`] reports which blocks the prefetcher fetched
-//! during one access. Almost every step fetches zero to a handful of
-//! blocks, so returning a `Vec` means a heap allocation per access — the
-//! dominant allocator traffic of a trace replay. [`SmallVec`] keeps up to
-//! `N` elements inline on the stack and only spills to the heap on the
-//! rare burst larger than `N` (deep reconstructions), making the common
-//! path allocation-free.
-//!
-//! [`CoverageSim::step`]: ../stems_core/engine/struct.CoverageSim.html
+//! The engine's per-access outcome (`stems_core::engine::StepOutcome`)
+//! lists which blocks the prefetcher fetched during one access. Almost
+//! every access fetches zero to a handful of blocks, so a `Vec` there
+//! means a heap allocation per access — the dominant allocator traffic
+//! of a trace replay. [`SmallVec`] keeps up to `N` elements inline and
+//! only spills to the heap on the rare burst larger than `N` (deep
+//! reconstructions), making the common path allocation-free.
 
 use crate::BlockAddr;
 
@@ -148,7 +146,7 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for SmallVec<T, N> {
     }
 }
 
-/// Blocks fetched off-chip during one simulator step. Sixteen inline
+/// Blocks fetched off-chip during one simulated access. Sixteen inline
 /// slots cover the deepest routine fetch bursts (lookahead 8–12 plus
 /// spatial fill); longer reconstruction bursts spill.
 pub type FetchList = SmallVec<BlockAddr, 16>;

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use stems_trace::{Access, AccessKind, Dependence, Trace};
+use stems_types::hash::splitmix64;
 use stems_types::{Addr, BlockOffset, Pc, RegionAddr};
 
 /// One access within a visit.
@@ -91,15 +92,7 @@ impl Visits {
 /// `space_regions`, so logically consecutive entities live at unrelated
 /// physical regions (buffer-pool page placement, Section 3).
 pub fn scatter(index: u64, salt: u64, space_regions: u64) -> RegionAddr {
-    RegionAddr::new(splitmix(index.wrapping_add(salt.wrapping_mul(0x9E37_79B9))) % space_regions)
-}
-
-/// SplitMix64 — a fixed-point-free deterministic scrambler.
-pub fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    RegionAddr::new(splitmix64(index.wrapping_add(salt.wrapping_mul(0x9E37_79B9))) % space_regions)
 }
 
 /// Merges a visit batch into a trace with up to `window` visits live at

@@ -21,9 +21,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use stems_trace::Trace;
+use stems_types::hash::splitmix64;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
+use crate::build::{rng, scatter, Interleaver, VisitAccess, Visits};
 
 /// Tuning knobs for a template workload.
 #[derive(Clone, Debug)]
@@ -185,7 +186,7 @@ pub fn generate(params: &CommercialParams, seed: u64) -> Trace {
         .map(|t| {
             let mut offsets = vec![0u8];
             for k in 0..params.layout_offsets {
-                offsets.push((1 + (splitmix((t * 37 + k * 7 + 1) as u64) % 30)) as u8);
+                offsets.push((1 + (splitmix64((t * 37 + k * 7 + 1) as u64) % 30)) as u8);
             }
             offsets.dedup();
             offsets
@@ -198,14 +199,14 @@ pub fn generate(params: &CommercialParams, seed: u64) -> Trace {
     let step_count = params.templates * params.template_len;
     let steps: Vec<TemplateStep> = (0..step_count as u64)
         .map(|key| TemplateStep {
-            page: splitmix(key.wrapping_mul(31).wrapping_add(seed)) % params.hot_regions,
-            table: (splitmix(key ^ 0xABCD) % params.tables as u64) as usize,
+            page: splitmix64(key.wrapping_mul(31).wrapping_add(seed)) % params.hot_regions,
+            table: (splitmix64(key ^ 0xABCD) % params.tables as u64) as usize,
         })
         .collect();
     let record_offsets: Vec<u8> = (0..step_count as u64)
         .flat_map(|key| {
             (0..params.record_offsets as u64)
-                .map(move |k| (4 + (splitmix(key ^ (k + 1)) % 28)) as u8)
+                .map(move |k| (4 + (splitmix64(key ^ (k + 1)) % 28)) as u8)
         })
         .collect();
 
@@ -258,7 +259,7 @@ pub fn generate(params: &CommercialParams, seed: u64) -> Trace {
         // interleaver per execution to keep the miss order repetitive.
         // Noise visits (fresh pages, hash probes) follow the transaction
         // body so they do not perturb its repeating interleave pattern.
-        let mut exec_rng = rng(splitmix(t as u64 ^ seed ^ 0x1EAF));
+        let mut exec_rng = rng(splitmix64(t as u64 ^ seed ^ 0x1EAF));
         interleaver.drain(&mut visits, &mut exec_rng, &mut trace);
         interleaver.drain(&mut noise, &mut r, &mut trace);
     }
@@ -294,7 +295,7 @@ fn template_visit(
     // Write/read is a fixed property of the step so the *read-miss*
     // sequence repeats too.
     let records = record_offsets.iter().enumerate().map(|(k, &offset)| {
-        let write = (splitmix(step.page ^ ((k as u64 + 9) << 48)) % 1000) as f64 / 1000.0
+        let write = (splitmix64(step.page ^ ((k as u64 + 9) << 48)) % 1000) as f64 / 1000.0
             < params.write_prob;
         VisitAccess {
             offset,
@@ -306,10 +307,10 @@ fn template_visit(
     // Page-idiosyncratic offset: a fixed function of the page, touched on
     // a fixed (per page) subset of visits — recurs temporally, never
     // stabilizes spatially.
-    let idiosyncratic = ((splitmix(step.page ^ 0x1D_1055) % 1000) as f64 / 1000.0
+    let idiosyncratic = ((splitmix64(step.page ^ 0x1D_1055) % 1000) as f64 / 1000.0
         < params.idio_prob)
         .then(|| VisitAccess {
-            offset: (4 + (splitmix(step.page ^ 0x1D10) % 28)) as u8,
+            offset: (4 + (splitmix64(step.page ^ 0x1D10) % 28)) as u8,
             pc: table_pc(step.table, 24),
             write: false,
             work,

@@ -11,9 +11,10 @@
 use rand::Rng;
 
 use stems_trace::Trace;
+use stems_types::hash::splitmix64;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
+use crate::build::{rng, scatter, Interleaver, VisitAccess, Visits};
 
 /// Tuning knobs for a DSS query.
 #[derive(Clone, Debug)]
@@ -95,7 +96,7 @@ pub fn generate(params: &DssParams, seed: u64) -> Trace {
 
     // The shared page layout: offset 0 header + stable tuple offsets.
     let layout: Vec<u8> = std::iter::once(0u8)
-        .chain((0..params.layout_offsets).map(|k| (1 + (splitmix(k as u64 + 77) % 30)) as u8))
+        .chain((0..params.layout_offsets).map(|k| (1 + (splitmix64(k as u64 + 77) % 30)) as u8))
         .collect();
 
     // The whole query is one batch: every page's visit, and at most one
@@ -120,7 +121,7 @@ pub fn generate(params: &DssParams, seed: u64) -> Trace {
         );
         // Page-specific noise tuples (spatially unpredictable).
         for k in 0..params.noise_offsets {
-            let o = (1 + (splitmix(page ^ ((k as u64 + 3) << 40)) % 31)) as u8;
+            let o = (1 + (splitmix64(page ^ ((k as u64 + 3) << 40)) % 31)) as u8;
             if !offsets.contains(&o) {
                 offsets.push(o);
             }
@@ -145,7 +146,7 @@ pub fn generate(params: &DssParams, seed: u64) -> Trace {
             // Inner-table probe: revisits a bounded set of regions
             // (mostly L2-resident unless the inner table is large).
             let inner = scatter(r.gen_range(0..params.join_regions), JOIN_SALT, 1 << 22);
-            let base = (splitmix(inner.get()) % 28) as u8;
+            let base = (splitmix64(inner.get()) % 28) as u8;
             let accesses = [
                 VisitAccess {
                     offset: base,

@@ -8,9 +8,10 @@
 use rand::Rng;
 
 use stems_trace::Trace;
+use stems_types::hash::splitmix64;
 use stems_types::RegionAddr;
 
-use crate::build::{rng, scatter, splitmix, Interleaver, VisitAccess, Visits};
+use crate::build::{rng, scatter, Interleaver, VisitAccess, Visits};
 
 /// em3d: electromagnetic wave propagation on an irregular bipartite graph
 /// (3M nodes in the paper; scaled here so one iteration exceeds the L2).
@@ -63,7 +64,7 @@ pub fn em3d(params: &Em3dParams, seed: u64) -> Trace {
             // Node placement and extent are fixed functions of the node:
             // identical across iterations (perfect temporal repetition).
             let region = scatter(n, seed ^ 21, 1 << 24);
-            let trigger = (splitmix(n ^ 0xE3D) % 29) as u8;
+            let trigger = (splitmix64(n ^ 0xE3D) % 29) as u8;
             let work = r.gen_range(params.work.0..=params.work.1);
             let accesses = (0..node_extent(n)).map(|k| VisitAccess {
                 offset: trigger + k,
@@ -81,7 +82,7 @@ pub fn em3d(params: &Em3dParams, seed: u64) -> Trace {
 
 /// The blocks an em3d node spans: 1 to 3, a fixed function of the node.
 fn node_extent(n: u64) -> u8 {
-    1 + (splitmix(n ^ 0x7A11) % 3) as u8
+    1 + (splitmix64(n ^ 0x7A11) % 3) as u8
 }
 
 /// ocean: regular grid relaxation (1026x1026 in the paper).
@@ -218,10 +219,10 @@ pub fn sparse(params: &SparseParams, seed: u64) -> Trace {
             // iteration parity.
             for gather in 0..params.gathers_per_region {
                 let key = m ^ ((gather as u64 + 1) << 32);
-                let x_region = scatter(splitmix(key) % params.x_regions, seed ^ 31, 1 << 22);
-                let base_off = (splitmix(key ^ 0xF00) % 26) as u8;
+                let x_region = scatter(splitmix64(key) % params.x_regions, seed ^ 31, 1 << 22);
+                let base_off = (splitmix64(key ^ 0xF00) % 26) as u8;
                 let mut offsets = [base_off, base_off + 2, base_off + 5];
-                if splitmix(key ^ 0x0070_661E) % 2 == 1 {
+                if splitmix64(key ^ 0x0070_661E) % 2 == 1 {
                     // Half the clusters use the reversed order: identical
                     // every iteration (temporal repetition intact), but
                     // the shared PST entry sees two delta sequences.

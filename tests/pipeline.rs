@@ -1,11 +1,14 @@
 //! Cross-crate pipeline tests: generators -> trace store -> simulator ->
 //! analyses, exercised together.
 
+use std::hash::Hasher;
+
 use stems::analysis::{classify, filter_trace, Sequitur};
 use stems::core::engine::{CoverageSim, NullPrefetcher};
 use stems::core::{PrefetchConfig, StemsPrefetcher};
 use stems::memsim::SystemConfig;
 use stems::trace::store::{read_store, write_store};
+use stems::types::FxHasher;
 use stems::workloads::Workload;
 
 #[test]
@@ -44,6 +47,45 @@ fn filter_misses_are_a_subset_of_reads() {
     let triggers = out.misses.iter().filter(|m| m.trigger).count();
     assert!(triggers > 0 && triggers <= out.misses.len());
     assert!(out.generations.iter().all(|g| !g.offsets.is_empty()));
+}
+
+/// The exact output of the Figures 6-8 front end on one commercial and
+/// one scientific trace: the miss, trigger, SMS-predictable and
+/// generation counts, and a digest of every record's fields.
+#[test]
+fn filter_trace_output_is_pinned() {
+    let expected = [
+        (
+            Workload::Db2,
+            [13563, 4091, 6177, 4602, 3170913541661899592],
+        ),
+        (
+            Workload::Em3d,
+            [11866, 6197, 3321, 6600, 13974132312110374523],
+        ),
+    ];
+    for (w, want) in expected {
+        let out = filter_trace(&w.generate_scaled(0.01, 2009), &SystemConfig::small());
+        let mut h = FxHasher::default();
+        for m in &out.misses {
+            h.write_u64(m.pc.get());
+            h.write_u64(m.block.get());
+            h.write_u8(m.trigger as u8 | (m.sms_predictable as u8) << 1);
+        }
+        for g in &out.generations {
+            h.write_u64(g.index);
+            h.write(&g.offsets);
+        }
+        let got = [
+            out.misses.len() as u64,
+            out.misses.iter().filter(|m| m.trigger).count() as u64,
+            out.misses.iter().filter(|m| m.sms_predictable).count() as u64,
+            out.generations.len() as u64,
+            h.finish(),
+        ];
+        println!("(Workload::{w:?}, {got:?}),");
+        assert_eq!(got, want, "{w}: filter_trace output drifted");
+    }
 }
 
 #[test]
