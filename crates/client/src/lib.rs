@@ -44,11 +44,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use stems_core::protocol::{
-    self, ChunkStats, MetricsReply, OpenRequest, Request, Response, SessionSummary,
+    self, ChunkStats, MetricsReply, OpenRequest, Request, Response, SessionSummary, WireError,
 };
 use stems_trace::store::TraceStoreError;
 use stems_trace::Access;
-use stems_types::wire::{self, WireError};
 
 pub mod retry;
 
@@ -281,9 +280,9 @@ impl Client {
             frame: Vec::new(),
             scratch: Vec::new(),
         };
-        wire::write_hello(&mut client.writer)?;
+        protocol::write_hello(&mut client.writer)?;
         client.writer.flush()?;
-        wire::read_hello(&mut client.reader)?;
+        protocol::read_hello(&mut client.reader)?;
         Ok(client)
     }
 

@@ -1,8 +1,7 @@
-//! Typed messages for the trace-streaming session service.
-//!
-//! The framing below these messages (hello, kind byte, length prefix,
-//! CRC-32) lives in `stems_types::wire`; this module defines what the
-//! payloads *mean*: a client opens sessions (each with its own
+//! The trace-streaming session service's wire format: the framing
+//! every connection uses (hello, kind byte, length prefix, CRC-32; the
+//! private `frame` module) and the typed messages inside it. A client
+//! opens sessions (each with its own
 //! [`SystemConfig`]/[`PrefetchConfig`]/[`Predictor`]), streams
 //! sequenced trace chunks into them, and receives per-chunk counter
 //! snapshots plus an end-of-stream summary. Chunk payloads reuse the
@@ -12,28 +11,33 @@
 //! The byte-level spec is `docs/WIRE_PROTOCOL.md`.
 //!
 //! Every decode path returns a typed [`WireError`] on hostile bytes —
-//! unknown kinds, out-of-range config fields, truncated columns — and
-//! never panics.
+//! a bad hello, a checksum mismatch, unknown kinds, out-of-range config
+//! fields, truncated columns — and never panics.
 //!
 //! # Example
 //!
 //! ```
-//! use stems_core::protocol::{Request, Response, ChunkStats};
-//! use stems_core::{Counters, PrefetchConfig, Predictor};
+//! use stems_core::protocol::{read_hello, write_hello, OpenRequest, Request};
+//! use stems_core::{PrefetchConfig, Predictor};
 //! use stems_memsim::SystemConfig;
 //!
-//! let req = Request::Open(Box::new(stems_core::protocol::OpenRequest {
+//! let req = Request::Open(Box::new(OpenRequest {
 //!     system: SystemConfig::small(),
 //!     prefetch: PrefetchConfig::small(),
 //!     predictor: Predictor::Stems,
 //!     invalidations: None,
 //! }));
+//! let (mut frame, mut scratch) = (Vec::new(), Vec::new());
 //! let mut wire = Vec::new();
-//! let mut scratch = Vec::new();
-//! req.encode(&mut wire, &mut scratch);
-//! let (kind, payload, _) = stems_types::wire::decode_message(&wire).unwrap();
-//! let back = Request::decode(kind, payload).unwrap();
-//! assert!(matches!(back, Request::Open(o) if o.predictor == Predictor::Stems));
+//! write_hello(&mut wire).unwrap();
+//! req.write_to(&mut wire, &mut frame, &mut scratch).unwrap();
+//!
+//! let mut r = wire.as_slice();
+//! read_hello(&mut r).unwrap();
+//! let back = Request::read_from(&mut r, &mut frame, &mut Vec::new()).unwrap();
+//! assert!(matches!(back, Some(Request::Open(o)) if o.predictor == Predictor::Stems));
+//! // A clean end of stream between messages.
+//! assert!(Request::read_from(&mut r, &mut frame, &mut Vec::new()).unwrap().is_none());
 //! ```
 
 use crate::config::PrefetchConfig;
@@ -44,8 +48,11 @@ use std::io::{Read, Write};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_trace::store::{decode_records, encode_records, MAX_FRAME_RECORDS};
 use stems_trace::Access;
-use stems_types::wire::{self, WireError};
 use stems_types::{varint, BLOCK_BYTES};
+
+mod frame;
+
+pub use frame::{read_hello, write_hello, WireError, HELLO_BYTES};
 
 /// Message kind: client opens a session.
 pub const KIND_OPEN: u8 = 0x01;
@@ -256,54 +263,140 @@ pub enum Response {
     },
 }
 
-// --- column helpers -------------------------------------------------
+// --- payload cursor --------------------------------------------------
 
-fn read_u64(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, WireError> {
-    let (v, n) = varint::read_u64(&payload[*pos..]).ok_or(WireError::Corrupt(what))?;
-    *pos += n;
-    Ok(v)
+/// A read position in one message payload. Every read names the
+/// `Corrupt` reason it fails with.
+struct Cursor<'a> {
+    rest: &'a [u8],
 }
 
-fn read_u32(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, WireError> {
-    let v = read_u64(payload, pos, what)?;
-    u32::try_from(v).map_err(|_| WireError::Corrupt(what))
-}
-
-fn read_entries(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<usize, WireError> {
-    let v = read_u64(payload, pos, what)?;
-    if v > MAX_CONFIG_ENTRIES {
-        return Err(WireError::Corrupt("config field out of range"));
+impl<'a> Cursor<'a> {
+    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
+        let (v, n) = varint::read_u64(self.rest).ok_or(WireError::Corrupt(what))?;
+        self.rest = &self.rest[n..];
+        Ok(v)
     }
-    Ok(v as usize)
-}
 
-const SYS: &str = "truncated system config";
-
-/// One cache level's geometry, refused unless its size is within
-/// [`MAX_CONFIG_ENTRIES`] lines and it passes
-/// [`CacheConfig::try_num_sets`], so building the session cannot panic.
-fn read_cache(
-    payload: &[u8],
-    pos: &mut usize,
-    size_what: &'static str,
-    geometry_what: &'static str,
-) -> Result<CacheConfig, WireError> {
-    let size_bytes = read_u64(payload, pos, SYS)?;
-    if size_bytes / BLOCK_BYTES > MAX_CONFIG_ENTRIES {
-        return Err(WireError::Corrupt(size_what));
+    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+        u32::try_from(self.u64(what)?).map_err(|_| WireError::Corrupt(what))
     }
-    let cache = CacheConfig {
-        size_bytes,
-        associativity: read_entries(payload, pos, SYS)?,
-    };
-    cache
-        .try_num_sets()
-        .map_err(|_| WireError::Corrupt(geometry_what))?;
-    Ok(cache)
+
+    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// A table size, refused past [`MAX_CONFIG_ENTRIES`].
+    fn entries(&mut self, what: &'static str) -> Result<usize, WireError> {
+        let v = self.u64(what)?;
+        if v > MAX_CONFIG_ENTRIES {
+            return Err(WireError::Corrupt("config field out of range"));
+        }
+        Ok(v as usize)
+    }
+
+    fn byte(&mut self, what: &'static str) -> Result<u8, WireError> {
+        let (&b, rest) = self.rest.split_first().ok_or(WireError::Corrupt(what))?;
+        self.rest = rest;
+        Ok(b)
+    }
+
+    /// A 0/1 flag byte: `what` when it is missing, `bad` when it is
+    /// neither.
+    fn flag(&mut self, what: &'static str, bad: &'static str) -> Result<bool, WireError> {
+        match self.byte(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Corrupt(bad)),
+        }
+    }
+
+    /// A flag byte, then the value when it is set (see [`put_opt_u32`]).
+    fn opt_u32(&mut self, what: &'static str, bad: &'static str) -> Result<Option<u32>, WireError> {
+        Ok(if self.flag(what, bad)? {
+            Some(self.u32(what)?)
+        } else {
+            None
+        })
+    }
+
+    /// A length-prefixed UTF-8 string (see [`put_text`]): `len_what`
+    /// when the length is missing, `what` when the bytes run past the
+    /// payload, `not_utf8` when they are not text.
+    fn text(
+        &mut self,
+        len_what: &'static str,
+        what: &'static str,
+        not_utf8: &'static str,
+    ) -> Result<String, WireError> {
+        let len = self.u64(len_what)?;
+        let bytes = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.rest.get(..len))
+            .ok_or(WireError::Corrupt(what))?;
+        self.rest = &self.rest[bytes.len()..];
+        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Corrupt(not_utf8))
+    }
+
+    fn counters(&mut self, what: &'static str) -> Result<Counters, WireError> {
+        let mut vals = [0u64; 10];
+        for v in &mut vals {
+            *v = self.u64(what)?;
+        }
+        Ok(Counters {
+            accesses: vals[0],
+            reads: vals[1],
+            l1_hits: vals[2],
+            l2_hits: vals[3],
+            covered: vals[4],
+            uncovered: vals[5],
+            overpredictions: vals[6],
+            fetches: vals[7],
+            offchip_writes: vals[8],
+            invalidations: vals[9],
+        })
+    }
+
+    /// One cache level's geometry, refused unless its size is within
+    /// [`MAX_CONFIG_ENTRIES`] lines and it passes
+    /// [`CacheConfig::try_num_sets`], so building the session cannot
+    /// panic.
+    fn cache(
+        &mut self,
+        what: &'static str,
+        size_what: &'static str,
+        geometry_what: &'static str,
+    ) -> Result<CacheConfig, WireError> {
+        let size_bytes = self.u64(what)?;
+        if size_bytes / BLOCK_BYTES > MAX_CONFIG_ENTRIES {
+            return Err(WireError::Corrupt(size_what));
+        }
+        let cache = CacheConfig {
+            size_bytes,
+            associativity: self.entries(what)?,
+        };
+        cache
+            .try_num_sets()
+            .map_err(|_| WireError::Corrupt(geometry_what))?;
+        Ok(cache)
+    }
 }
 
-fn read_f64(payload: &[u8], pos: &mut usize, what: &'static str) -> Result<f64, WireError> {
-    Ok(f64::from_bits(read_u64(payload, pos, what)?))
+/// Appends a flag byte, then the value when there is one.
+fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            varint::write_u64(out, v as u64);
+        }
+    }
+}
+
+/// Appends a length-prefixed string.
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    varint::write_u64(out, text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
 }
 
 fn write_counters(out: &mut Vec<u8>, c: &Counters) {
@@ -321,25 +414,6 @@ fn write_counters(out: &mut Vec<u8>, c: &Counters) {
     ] {
         varint::write_u64(out, v);
     }
-}
-
-fn read_counters(payload: &[u8], pos: &mut usize) -> Result<Counters, WireError> {
-    let mut vals = [0u64; 10];
-    for v in &mut vals {
-        *v = read_u64(payload, pos, "truncated counters")?;
-    }
-    Ok(Counters {
-        accesses: vals[0],
-        reads: vals[1],
-        l1_hits: vals[2],
-        l2_hits: vals[3],
-        covered: vals[4],
-        uncovered: vals[5],
-        overpredictions: vals[6],
-        fetches: vals[7],
-        offchip_writes: vals[8],
-        invalidations: vals[9],
-    })
 }
 
 fn write_open(out: &mut Vec<u8>, o: &OpenRequest) {
@@ -396,39 +470,33 @@ fn write_open(out: &mut Vec<u8>, o: &OpenRequest) {
     }
 }
 
-fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> {
+fn read_open(cur: &mut Cursor) -> Result<OpenRequest, WireError> {
+    const SYS: &str = "truncated system config";
     const PF: &str = "truncated prefetch config";
     let system = SystemConfig {
-        l1: read_cache(
-            payload,
-            pos,
+        l1: cur.cache(
+            SYS,
             "config field l1.size_bytes out of range",
             "config field l1 has an invalid cache geometry",
         )?,
-        l2: read_cache(
-            payload,
-            pos,
+        l2: cur.cache(
+            SYS,
             "config field l2.size_bytes out of range",
             "config field l2 has an invalid cache geometry",
         )?,
-        clock_ghz: read_f64(payload, pos, SYS)?,
-        l1_latency: read_u64(payload, pos, SYS)?,
-        l2_latency: read_u64(payload, pos, SYS)?,
-        mem_latency_ns: read_f64(payload, pos, SYS)?,
-        hop_latency_ns: read_f64(payload, pos, SYS)?,
-        nodes: read_entries(payload, pos, SYS)?,
-        rob_entries: read_entries(payload, pos, SYS)?,
-        width: read_entries(payload, pos, SYS)?,
-        mshrs: read_entries(payload, pos, SYS)?,
+        clock_ghz: cur.f64(SYS)?,
+        l1_latency: cur.u64(SYS)?,
+        l2_latency: cur.u64(SYS)?,
+        mem_latency_ns: cur.f64(SYS)?,
+        hop_latency_ns: cur.f64(SYS)?,
+        nodes: cur.entries(SYS)?,
+        rob_entries: cur.entries(SYS)?,
+        width: cur.entries(SYS)?,
+        mshrs: cur.entries(SYS)?,
     };
     let mut pf = [0usize; 14];
     for v in &mut pf {
-        *v = read_entries(payload, pos, PF)?;
-    }
-    let flags = *payload.get(*pos).ok_or(WireError::Corrupt(PF))?;
-    *pos += 1;
-    if flags > 1 {
-        return Err(WireError::Corrupt("bad spatial_only_streams flag"));
+        *v = cur.entries(PF)?;
     }
     let prefetch = PrefetchConfig {
         svb_entries: pf[0],
@@ -445,7 +513,7 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
         stride_degree: pf[11],
         refill_threshold: pf[12],
         refill_chunk: pf[13],
-        spatial_only_streams: flags == 1,
+        spatial_only_streams: cur.flag(PF, "bad spatial_only_streams flag")?,
     };
     // Tables whose structures refuse zero entries at construction, so a
     // session for any predictor can be built from the config.
@@ -467,25 +535,14 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
             return Err(WireError::Corrupt(what));
         }
     }
-    let pidx = *payload
-        .get(*pos)
-        .ok_or(WireError::Corrupt("truncated predictor"))?;
-    *pos += 1;
     let predictor = *Predictor::ALL
-        .get(pidx as usize)
+        .get(cur.byte("truncated predictor")? as usize)
         .ok_or(WireError::Corrupt("unknown predictor index"))?;
-    let inv_flag = *payload
-        .get(*pos)
-        .ok_or(WireError::Corrupt("truncated invalidations"))?;
-    *pos += 1;
-    let invalidations = match inv_flag {
-        0 => None,
-        1 => {
-            let rate = read_f64(payload, pos, "truncated invalidations")?;
-            let seed = read_u64(payload, pos, "truncated invalidations")?;
-            Some((rate, seed))
-        }
-        _ => return Err(WireError::Corrupt("bad invalidations flag")),
+    const INV: &str = "truncated invalidations";
+    let invalidations = if cur.flag(INV, "bad invalidations flag")? {
+        Some((cur.f64(INV)?, cur.u64(INV)?))
+    } else {
+        None
     };
     Ok(OpenRequest {
         system,
@@ -516,7 +573,7 @@ pub fn encode_seq_chunk(
 ) {
     scratch.clear();
     write_seq_chunk(scratch, session, seq, records);
-    wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
+    frame::encode_message(out, KIND_SEQ_CHUNK, scratch);
 }
 
 /// Decodes a chunk's record columns into the allocation taken out of
@@ -532,6 +589,19 @@ fn read_records(
     let mut records = std::mem::take(spare);
     decode_records(columns, count as usize, &mut records).map_err(WireError::Corrupt)?;
     Ok(records)
+}
+
+/// Clears `frame`, frames one message into it with `encode` and writes
+/// it to a transport: the body of both `write_to`s.
+fn write_framed<W: Write>(
+    w: &mut W,
+    frame: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    frame.clear();
+    encode(frame);
+    w.write_all(frame)?;
+    Ok(())
 }
 
 // --- requests -------------------------------------------------------
@@ -570,7 +640,7 @@ impl Request {
             Request::Shutdown => {}
             Request::Metrics { drain_events } => scratch.push(*drain_events as u8),
         }
-        wire::encode_message(out, self.kind(), scratch);
+        frame::encode_message(out, self.kind(), scratch);
     }
 
     /// Decodes a request from a verified message payload.
@@ -585,19 +655,20 @@ impl Request {
         payload: &[u8],
         records: &mut Vec<Access>,
     ) -> Result<Request, WireError> {
-        let mut pos = 0usize;
+        let mut cur = Cursor { rest: payload };
         let req = match kind {
-            KIND_OPEN => Request::Open(Box::new(read_open(payload, &mut pos)?)),
+            KIND_OPEN => Request::Open(Box::new(read_open(&mut cur)?)),
             KIND_SEQ_CHUNK => {
-                let session = read_u32(payload, &mut pos, "truncated seq chunk header")?;
-                let seq = read_u64(payload, &mut pos, "truncated seq chunk header")?;
+                const HEADER: &str = "truncated seq chunk header";
+                let session = cur.u32(HEADER)?;
+                let seq = cur.u64(HEADER)?;
                 // Sequence numbers are 1-based: a 0 would read as a
                 // duplicate of "nothing applied yet" and be dropped.
                 if seq == 0 {
                     return Err(WireError::Corrupt("seq chunk sequence is zero"));
                 }
-                let count = read_u32(payload, &mut pos, "truncated seq chunk header")?;
-                let records = read_records(&payload[pos..], count, records)?;
+                let count = cur.u32(HEADER)?;
+                let records = read_records(cur.rest, count, records)?;
                 return Ok(Request::SeqChunk {
                     session,
                     seq,
@@ -605,28 +676,19 @@ impl Request {
                 });
             }
             KIND_RESUME => Request::Resume {
-                session: read_u32(payload, &mut pos, "truncated resume")?,
-                last_seq: read_u64(payload, &mut pos, "truncated resume")?,
+                session: cur.u32("truncated resume")?,
+                last_seq: cur.u64("truncated resume")?,
             },
             KIND_CLOSE => Request::Close {
-                session: read_u32(payload, &mut pos, "truncated close")?,
+                session: cur.u32("truncated close")?,
             },
             KIND_SHUTDOWN => Request::Shutdown,
-            KIND_METRICS => {
-                let flag = *payload
-                    .get(pos)
-                    .ok_or(WireError::Corrupt("truncated metrics request"))?;
-                pos += 1;
-                if flag > 1 {
-                    return Err(WireError::Corrupt("bad drain_events flag"));
-                }
-                Request::Metrics {
-                    drain_events: flag == 1,
-                }
-            }
+            KIND_METRICS => Request::Metrics {
+                drain_events: cur.flag("truncated metrics request", "bad drain_events flag")?,
+            },
             other => return Err(WireError::UnknownKind { kind: other }),
         };
-        if pos != payload.len() {
+        if !cur.rest.is_empty() {
             return Err(WireError::Corrupt("trailing bytes after request"));
         }
         Ok(req)
@@ -639,28 +701,24 @@ impl Request {
         frame: &mut Vec<u8>,
         scratch: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        frame.clear();
-        self.encode(frame, scratch);
-        w.write_all(frame)?;
-        Ok(())
+        write_framed(w, frame, |frame| self.encode(frame, scratch))
     }
 
     /// Reads one request from a transport. `Ok(None)` means the peer
     /// closed the connection cleanly between messages.
     ///
-    /// A chunk's records are decoded into the allocation taken out of
-    /// `records`, which is left empty; a caller that puts the `Vec` back
-    /// after handling the chunk reads a stream of chunks without
-    /// allocating per chunk.
+    /// `buf` holds the message's bytes between calls. A chunk's records
+    /// are decoded into the allocation taken out of `records`, which is
+    /// left empty; a caller that puts the `Vec` back after handling the
+    /// chunk reads a stream of chunks without allocating per chunk.
     pub fn read_from<R: Read>(
         r: &mut R,
-        payload: &mut Vec<u8>,
+        buf: &mut Vec<u8>,
         records: &mut Vec<Access>,
     ) -> Result<Option<Request>, WireError> {
-        match wire::read_message(r, payload)? {
-            None => Ok(None),
-            Some(kind) => Request::decode_reusing(kind, payload, records).map(Some),
-        }
+        frame::read_message(r, buf)?
+            .map(|(kind, payload)| Request::decode_reusing(kind, payload, records))
+            .transpose()
     }
 }
 
@@ -719,10 +777,8 @@ impl Response {
                 }
             }
             Response::MetricsReply(m) => {
-                varint::write_u64(scratch, m.exposition.len() as u64);
-                scratch.extend_from_slice(m.exposition.as_bytes());
-                varint::write_u64(scratch, m.events.len() as u64);
-                scratch.extend_from_slice(m.events.as_bytes());
+                put_text(scratch, &m.exposition);
+                put_text(scratch, &m.events);
             }
             Response::Resumed {
                 session,
@@ -739,76 +795,54 @@ impl Response {
                 session,
                 retry_after_ms,
             } => {
-                match session {
-                    None => scratch.push(0),
-                    Some(s) => {
-                        scratch.push(1);
-                        varint::write_u64(scratch, *s as u64);
-                    }
-                }
+                put_opt_u32(scratch, *session);
                 varint::write_u64(scratch, *retry_after_ms as u64);
             }
             Response::ShutdownAck { drained } => varint::write_u64(scratch, *drained as u64),
             Response::Error { session, message } => {
-                match session {
-                    None => scratch.push(0),
-                    Some(s) => {
-                        scratch.push(1);
-                        varint::write_u64(scratch, *s as u64);
-                    }
-                }
-                varint::write_u64(scratch, message.len() as u64);
-                scratch.extend_from_slice(message.as_bytes());
+                put_opt_u32(scratch, *session);
+                put_text(scratch, message);
             }
         }
-        wire::encode_message(out, self.kind(), scratch);
+        frame::encode_message(out, self.kind(), scratch);
     }
 
     /// Decodes a response from a verified message payload.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Response, WireError> {
-        let mut pos = 0usize;
+        let mut cur = Cursor { rest: payload };
         let resp = match kind {
             KIND_OPENED => Response::Opened {
-                session: read_u32(payload, &mut pos, "truncated opened")?,
+                session: cur.u32("truncated opened")?,
             },
             KIND_STATS => Response::Stats(ChunkStats {
-                session: read_u32(payload, &mut pos, "truncated stats")?,
-                accesses_fed: read_u64(payload, &mut pos, "truncated stats")?,
-                counters: read_counters(payload, &mut pos)?,
+                session: cur.u32("truncated stats")?,
+                accesses_fed: cur.u64("truncated stats")?,
+                counters: cur.counters("truncated counters")?,
             }),
             KIND_SUMMARY => {
-                let session = read_u32(payload, &mut pos, "truncated summary")?;
-                let accesses_fed = read_u64(payload, &mut pos, "truncated summary")?;
-                let counters = read_counters(payload, &mut pos)?;
-                let recon_flag = *payload
-                    .get(pos)
-                    .ok_or(WireError::Corrupt("truncated summary"))?;
-                pos += 1;
-                let recon = match recon_flag {
-                    0 => None,
-                    1 => {
-                        let mut vals = [0u64; 5];
-                        for v in &mut vals {
-                            *v = read_u64(payload, &mut pos, "truncated recon stats")?;
-                        }
-                        Some(ReconStats {
-                            exact: vals[0],
-                            shifted1: vals[1],
-                            shifted2: vals[2],
-                            dropped_conflict: vals[3],
-                            dropped_window: vals[4],
-                        })
+                const SUMMARY: &str = "truncated summary";
+                let session = cur.u32(SUMMARY)?;
+                let accesses_fed = cur.u64(SUMMARY)?;
+                let counters = cur.counters("truncated counters")?;
+                let recon = if cur.flag(SUMMARY, "bad recon flag")? {
+                    let mut vals = [0u64; 5];
+                    for v in &mut vals {
+                        *v = cur.u64("truncated recon stats")?;
                     }
-                    _ => return Err(WireError::Corrupt("bad recon flag")),
+                    Some(ReconStats {
+                        exact: vals[0],
+                        shifted1: vals[1],
+                        shifted2: vals[2],
+                        dropped_conflict: vals[3],
+                        dropped_window: vals[4],
+                    })
+                } else {
+                    None
                 };
-                let probes_flag = *payload
-                    .get(pos)
-                    .ok_or(WireError::Corrupt("truncated summary"))?;
-                pos += 1;
-                let pst_probes = match probes_flag {
-                    0 => None,
-                    1 => Some(read_u64(payload, &mut pos, "truncated summary")?),
-                    _ => return Err(WireError::Corrupt("bad pst_probes flag")),
+                let pst_probes = if cur.flag(SUMMARY, "bad pst_probes flag")? {
+                    Some(cur.u64(SUMMARY)?)
+                } else {
+                    None
                 };
                 Response::Summary(Box::new(SessionSummary {
                     session,
@@ -819,67 +853,38 @@ impl Response {
                 }))
             }
             KIND_METRICS_REPLY => {
-                let mut read_text = |what: &'static str| -> Result<String, WireError> {
-                    let len = read_u64(payload, &mut pos, what)? as usize;
-                    let end = pos.checked_add(len).ok_or(WireError::Corrupt(what))?;
-                    let bytes = payload.get(pos..end).ok_or(WireError::Corrupt(what))?;
-                    pos = end;
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| WireError::Corrupt("metrics text is not utf-8"))
-                };
-                let exposition = read_text("truncated metrics exposition")?;
-                let events = read_text("truncated metrics events")?;
-                Response::MetricsReply(Box::new(MetricsReply { exposition, events }))
+                const EXPOSITION: &str = "truncated metrics exposition";
+                const EVENTS: &str = "truncated metrics events";
+                const NOT_UTF8: &str = "metrics text is not utf-8";
+                Response::MetricsReply(Box::new(MetricsReply {
+                    exposition: cur.text(EXPOSITION, EXPOSITION, NOT_UTF8)?,
+                    events: cur.text(EVENTS, EVENTS, NOT_UTF8)?,
+                }))
             }
             KIND_RESUMED => Response::Resumed {
-                session: read_u32(payload, &mut pos, "truncated resumed")?,
-                last_seq: read_u64(payload, &mut pos, "truncated resumed")?,
-                accesses_fed: read_u64(payload, &mut pos, "truncated resumed")?,
-                counters: read_counters(payload, &mut pos)?,
+                session: cur.u32("truncated resumed")?,
+                last_seq: cur.u64("truncated resumed")?,
+                accesses_fed: cur.u64("truncated resumed")?,
+                counters: cur.counters("truncated counters")?,
             },
-            KIND_BUSY => {
-                let flag = *payload
-                    .get(pos)
-                    .ok_or(WireError::Corrupt("truncated busy"))?;
-                pos += 1;
-                let session = match flag {
-                    0 => None,
-                    1 => Some(read_u32(payload, &mut pos, "truncated busy")?),
-                    _ => return Err(WireError::Corrupt("bad busy session flag")),
-                };
-                Response::Busy {
-                    session,
-                    retry_after_ms: read_u32(payload, &mut pos, "truncated busy")?,
-                }
-            }
+            KIND_BUSY => Response::Busy {
+                session: cur.opt_u32("truncated busy", "bad busy session flag")?,
+                retry_after_ms: cur.u32("truncated busy")?,
+            },
             KIND_SHUTDOWN_ACK => Response::ShutdownAck {
-                drained: read_u32(payload, &mut pos, "truncated shutdown ack")?,
+                drained: cur.u32("truncated shutdown ack")?,
             },
-            KIND_ERROR => {
-                let flag = *payload
-                    .get(pos)
-                    .ok_or(WireError::Corrupt("truncated error"))?;
-                pos += 1;
-                let session = match flag {
-                    0 => None,
-                    1 => Some(read_u32(payload, &mut pos, "truncated error")?),
-                    _ => return Err(WireError::Corrupt("bad error session flag")),
-                };
-                let len = read_u64(payload, &mut pos, "truncated error")? as usize;
-                let end = pos
-                    .checked_add(len)
-                    .ok_or(WireError::Corrupt("truncated error message"))?;
-                let bytes = payload
-                    .get(pos..end)
-                    .ok_or(WireError::Corrupt("truncated error message"))?;
-                pos = end;
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::Corrupt("error message is not utf-8"))?;
-                Response::Error { session, message }
-            }
+            KIND_ERROR => Response::Error {
+                session: cur.opt_u32("truncated error", "bad error session flag")?,
+                message: cur.text(
+                    "truncated error",
+                    "truncated error message",
+                    "error message is not utf-8",
+                )?,
+            },
             other => return Err(WireError::UnknownKind { kind: other }),
         };
-        if pos != payload.len() {
+        if !cur.rest.is_empty() {
             return Err(WireError::Corrupt("trailing bytes after response"));
         }
         Ok(resp)
@@ -892,22 +897,16 @@ impl Response {
         frame: &mut Vec<u8>,
         scratch: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        frame.clear();
-        self.encode(frame, scratch);
-        w.write_all(frame)?;
-        Ok(())
+        write_framed(w, frame, |frame| self.encode(frame, scratch))
     }
 
     /// Reads one response from a transport. `Ok(None)` means the peer
-    /// closed the connection cleanly between messages.
-    pub fn read_from<R: Read>(
-        r: &mut R,
-        payload: &mut Vec<u8>,
-    ) -> Result<Option<Response>, WireError> {
-        match wire::read_message(r, payload)? {
-            None => Ok(None),
-            Some(kind) => Response::decode(kind, payload).map(Some),
-        }
+    /// closed the connection cleanly between messages; `buf` holds the
+    /// message's bytes between calls.
+    pub fn read_from<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Option<Response>, WireError> {
+        frame::read_message(r, buf)?
+            .map(|(kind, payload)| Response::decode(kind, payload))
+            .transpose()
     }
 }
 
@@ -930,7 +929,7 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         req.encode(&mut out, &mut scratch);
-        let (kind, payload, n) = wire::decode_message(&out).unwrap();
+        let (kind, payload, n) = frame::decode_message(&out).unwrap();
         assert_eq!(n, out.len());
         Request::decode(kind, payload).unwrap()
     }
@@ -939,7 +938,7 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         resp.encode(&mut out, &mut scratch);
-        let (kind, payload, n) = wire::decode_message(&out).unwrap();
+        let (kind, payload, n) = frame::decode_message(&out).unwrap();
         assert_eq!(n, out.len());
         Response::decode(kind, payload).unwrap()
     }
@@ -1080,7 +1079,7 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         Request::Close { session: 1 }.encode(&mut out, &mut scratch);
-        let (kind, payload, _) = wire::decode_message(&out).unwrap();
+        let (kind, payload, _) = frame::decode_message(&out).unwrap();
         let mut padded = payload.to_vec();
         padded.push(0);
         assert!(matches!(
@@ -1123,7 +1122,7 @@ mod tests {
     fn open_payload(open: OpenRequest) -> Vec<u8> {
         let mut out = Vec::new();
         Request::Open(Box::new(open)).encode(&mut out, &mut Vec::new());
-        wire::decode_message(&out).unwrap().1.to_vec()
+        frame::decode_message(&out).unwrap().1.to_vec()
     }
 
     /// `payload` with its `field`-th leading varint (the config fields,
@@ -1234,7 +1233,7 @@ mod tests {
             records,
         }
         .encode(&mut out, &mut scratch);
-        let (_, payload, _) = wire::decode_message(&out).unwrap();
+        let (_, payload, _) = frame::decode_message(&out).unwrap();
         // Bump the count without extending the columns: typed corrupt.
         let mut bad = Vec::new();
         varint::write_u64(&mut bad, 1); // session
@@ -1312,7 +1311,7 @@ mod tests {
             .map(|i| Access::read(Pc::new(0x400), Addr::new(i * 64)))
             .collect();
         encode_seq_chunk(&mut out, &mut scratch, 3, 9, &records);
-        let (_, payload, _) = wire::decode_message(&out).unwrap();
+        let (_, payload, _) = frame::decode_message(&out).unwrap();
         for cut in 0..payload.len() {
             assert!(Request::decode(KIND_SEQ_CHUNK, &payload[..cut]).is_err());
         }

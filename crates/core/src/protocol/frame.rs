@@ -1,12 +1,9 @@
-//! Framing layer for the trace-streaming wire protocol.
+//! The two byte-level constructs every connection uses: the connection
+//! **hello** and the length-prefixed **message frame**.
 //!
-//! This module owns the two byte-level constructs every connection uses —
-//! the connection **hello** and the length-prefixed **message frame** —
-//! and nothing else. Typed requests/responses (session open, chunk
-//! delivery, stats) live in `stems_core::protocol`; this layer only
-//! guarantees that a peer either receives the exact bytes that were sent
-//! or gets a typed [`WireError`], never a panic and never silent
-//! corruption. The full byte-level spec is `docs/WIRE_PROTOCOL.md`.
+//! A peer either receives the exact bytes that were sent or gets a
+//! typed [`WireError`], never a panic and never silent corruption. The
+//! full byte-level spec is `docs/WIRE_PROTOCOL.md`.
 //!
 //! # Frame shapes
 //!
@@ -38,35 +35,44 @@
 //! # Example
 //!
 //! ```
-//! use stems_types::wire;
+//! use stems_core::protocol::{read_hello, write_hello, Request, WireError, HELLO_BYTES};
 //!
 //! let mut buf = Vec::new();
-//! wire::encode_hello(&mut buf);
-//! wire::encode_message(&mut buf, 7, b"payload");
-//! let consumed = wire::decode_hello(&buf).unwrap();
-//! let (kind, payload, _total) = wire::decode_message(&buf[consumed..]).unwrap();
-//! assert_eq!((kind, payload), (7, &b"payload"[..]));
+//! write_hello(&mut buf).unwrap();
+//! assert_eq!(buf.len(), HELLO_BYTES);
+//! Request::Close { session: 7 }.encode(&mut buf, &mut Vec::new());
+//!
+//! let (mut frame, mut records) = (Vec::new(), Vec::new());
+//! let mut r = buf.as_slice();
+//! read_hello(&mut r).unwrap();
+//! let back = Request::read_from(&mut r, &mut frame, &mut records).unwrap();
+//! assert!(matches!(back, Some(Request::Close { session: 7 })));
+//!
+//! buf[HELLO_BYTES + 5] ^= 1; // the first payload byte
+//! let err = Request::read_from(&mut &buf[HELLO_BYTES..], &mut frame, &mut records);
+//! assert!(matches!(err, Err(WireError::ChecksumMismatch { .. })));
 //! ```
 
-use crate::crc::{crc32, Crc32};
 use std::fmt;
 use std::io::{Read, Write};
+use stems_trace::store::{fill, Fill};
+use stems_types::crc::crc32;
 
 /// Magic bytes opening every connection.
-pub const WIRE_MAGIC: [u8; 8] = *b"STEMSWIR";
+const WIRE_MAGIC: [u8; 8] = *b"STEMSWIR";
 /// Current (and only) protocol version. Version 2 retired the
 /// unsequenced chunk kind of version 1 (`docs/WIRE_PROTOCOL.md`).
-pub const WIRE_VERSION: u16 = 2;
+const WIRE_VERSION: u16 = 2;
 /// Size of the hello: magic + version + flags.
 pub const HELLO_BYTES: usize = 12;
 /// Size of a message header: kind + payload length.
-pub const MESSAGE_HEADER_BYTES: usize = 5;
+const MESSAGE_HEADER_BYTES: usize = 5;
 /// Fixed per-message overhead: header + trailing CRC.
-pub const MESSAGE_OVERHEAD: usize = MESSAGE_HEADER_BYTES + 4;
+const MESSAGE_OVERHEAD: usize = MESSAGE_HEADER_BYTES + 4;
 /// Upper bound on a message payload (64 MiB — matches the trace store's
 /// frame bound). A hostile length prefix can make a peer allocate at
 /// most this much.
-pub const MAX_MESSAGE_PAYLOAD: u32 = 1 << 26;
+const MAX_MESSAGE_PAYLOAD: u32 = 1 << 26;
 
 /// Everything that can go wrong while framing or unframing bytes.
 ///
@@ -75,7 +81,7 @@ pub const MAX_MESSAGE_PAYLOAD: u32 = 1 << 26;
 /// data.
 #[derive(Debug)]
 pub enum WireError {
-    /// The hello did not start with [`WIRE_MAGIC`].
+    /// The hello did not start with the magic `STEMSWIR`.
     BadMagic {
         /// The eight bytes actually read.
         got: [u8; 8],
@@ -95,7 +101,8 @@ pub enum WireError {
         /// Which construct was being read.
         context: &'static str,
     },
-    /// A message declared a payload longer than [`MAX_MESSAGE_PAYLOAD`].
+    /// A message declared a payload longer than `MAX_MESSAGE_PAYLOAD`
+    /// (64 MiB).
     Oversized {
         /// The declared payload length.
         len: u32,
@@ -107,14 +114,13 @@ pub enum WireError {
         /// CRC computed over the received bytes.
         computed: u32,
     },
-    /// A structurally valid frame carried a kind byte the protocol layer
-    /// does not define (reported by `stems_core::protocol`, not here).
+    /// A structurally valid frame carried a kind byte no message uses.
     UnknownKind {
         /// The kind byte actually read.
         kind: u8,
     },
-    /// A structurally valid frame carried a payload the protocol layer
-    /// could not decode (reported by `stems_core::protocol`, not here).
+    /// A structurally valid frame carried a payload its message kind
+    /// could not decode.
     Corrupt(&'static str),
     /// The underlying transport failed.
     Io(std::io::Error),
@@ -212,7 +218,7 @@ impl From<std::io::Error> for WireError {
 }
 
 /// Appends the 12-byte hello to `out`.
-pub fn encode_hello(out: &mut Vec<u8>) {
+fn encode_hello(out: &mut Vec<u8>) {
     out.extend_from_slice(&WIRE_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
@@ -220,7 +226,7 @@ pub fn encode_hello(out: &mut Vec<u8>) {
 
 /// Validates a hello at the front of `bytes`, returning the number of
 /// bytes consumed ([`HELLO_BYTES`]).
-pub fn decode_hello(bytes: &[u8]) -> Result<usize, WireError> {
+fn decode_hello(bytes: &[u8]) -> Result<usize, WireError> {
     if bytes.len() < HELLO_BYTES {
         return Err(WireError::Truncated { context: "hello" });
     }
@@ -244,9 +250,9 @@ pub fn decode_hello(bytes: &[u8]) -> Result<usize, WireError> {
 ///
 /// # Panics
 ///
-/// If `payload` exceeds [`MAX_MESSAGE_PAYLOAD`] — callers build payloads
+/// If `payload` exceeds `MAX_MESSAGE_PAYLOAD` — callers build payloads
 /// and are expected to chunk below the bound.
-pub fn encode_message(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+pub(super) fn encode_message(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     assert!(
         payload.len() <= MAX_MESSAGE_PAYLOAD as usize,
         "message payload of {} bytes exceeds the wire bound",
@@ -260,23 +266,28 @@ pub fn encode_message(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// The payload length a message header declares, refused past
+/// `MAX_MESSAGE_PAYLOAD` before anything is allocated for it.
+fn payload_len(header: &[u8]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+    if len > MAX_MESSAGE_PAYLOAD {
+        return Err(WireError::Oversized { len });
+    }
+    Ok(len as usize)
+}
+
 /// Decodes one framed message from the front of `bytes`.
 ///
 /// Returns `(kind, payload, total_bytes_consumed)`. The payload slice
 /// borrows from `bytes`; the CRC has already been verified over the
 /// header and payload.
-pub fn decode_message(bytes: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
+pub(super) fn decode_message(bytes: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
     if bytes.len() < MESSAGE_HEADER_BYTES {
         return Err(WireError::Truncated {
             context: "message header",
         });
     }
-    let kind = bytes[0];
-    let len = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]);
-    if len > MAX_MESSAGE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let len = len as usize;
+    let len = payload_len(bytes)?;
     let total = MESSAGE_OVERHEAD + len;
     if bytes.len() < total {
         return Err(WireError::Truncated {
@@ -294,7 +305,7 @@ pub fn decode_message(bytes: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
-    Ok((kind, &bytes[MESSAGE_HEADER_BYTES..covered], total))
+    Ok((bytes[0], &bytes[MESSAGE_HEADER_BYTES..covered], total))
 }
 
 /// Writes the hello to a transport.
@@ -308,98 +319,50 @@ pub fn write_hello<W: Write>(w: &mut W) -> Result<(), WireError> {
 /// Reads and validates the hello from a transport.
 pub fn read_hello<R: Read>(r: &mut R) -> Result<(), WireError> {
     let mut buf = [0u8; HELLO_BYTES];
-    read_full(r, &mut buf, "hello")?;
+    if fill(r, &mut buf)? != Fill::Full {
+        return Err(WireError::Truncated { context: "hello" });
+    }
     decode_hello(&buf).map(|_| ())
 }
 
-/// Writes one framed message to a transport.
-///
-/// `scratch` is reused across calls to keep steady-state streaming
-/// allocation-free; it is cleared on entry.
-pub fn write_message<W: Write>(
-    w: &mut W,
-    kind: u8,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> Result<(), WireError> {
-    scratch.clear();
-    encode_message(scratch, kind, payload);
-    w.write_all(scratch)?;
-    Ok(())
-}
-
-/// Reads one framed message from a transport into `payload`.
+/// Reads one framed message from a transport into `frame` (cleared and
+/// refilled each call) and returns its kind and verified payload.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed the
 /// connection *between* messages); a stream that ends mid-frame is
-/// [`WireError::Truncated`]. On `Ok(Some(kind))` the verified payload is
-/// in `payload` (cleared and refilled each call).
-pub fn read_message<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<u8>, WireError> {
-    let mut header = [0u8; MESSAGE_HEADER_BYTES];
-    if !read_full_or_eof(r, &mut header, "message header")? {
-        return Ok(None);
-    }
-    let kind = header[0];
-    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
-    if len > MAX_MESSAGE_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    payload.clear();
-    payload.resize(len as usize, 0);
-    read_full(r, payload, "message body")?;
-    let mut crc_bytes = [0u8; 4];
-    read_full(r, &mut crc_bytes, "message checksum")?;
-    let stored = u32::from_le_bytes(crc_bytes);
-    // The CRC covers header + payload as one span; the incremental
-    // hasher folds the two separately-buffered pieces without copying
-    // them together.
-    let mut h = Crc32::new();
-    h.update(&header);
-    h.update(payload);
-    let computed = h.finish();
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-    Ok(Some(kind))
-}
-
-/// Reads exactly `buf.len()` bytes or returns [`WireError::Truncated`].
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8], context: &'static str) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(WireError::Truncated { context }),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Like [`read_full`], but a clean EOF *before the first byte* returns
-/// `Ok(false)` instead of an error — the peer hung up between frames.
-fn read_full_or_eof<R: Read>(
+/// [`WireError::Truncated`].
+pub(super) fn read_message<'a, R: Read>(
     r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<bool, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(WireError::Truncated { context }),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
+    frame: &'a mut Vec<u8>,
+) -> Result<Option<(u8, &'a [u8])>, WireError> {
+    let mut header = [0u8; MESSAGE_HEADER_BYTES];
+    match fill(r, &mut header)? {
+        Fill::Eof => return Ok(None),
+        Fill::Partial => {
+            return Err(WireError::Truncated {
+                context: "message header",
+            })
+        }
+        Fill::Full => {}
+    }
+    let len = payload_len(&header)?;
+    frame.clear();
+    frame.extend_from_slice(&header);
+    frame.resize(MESSAGE_OVERHEAD + len, 0);
+    let (body, crc) = frame[MESSAGE_HEADER_BYTES..].split_at_mut(len);
+    for (buf, context) in [(body, "message body"), (crc, "message checksum")] {
+        if fill(r, buf)? != Fill::Full {
+            return Err(WireError::Truncated { context });
         }
     }
-    Ok(true)
+    let (kind, payload, _) = decode_message(frame)?;
+    Ok(Some((kind, payload)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hello_round_trips() {
@@ -481,27 +444,214 @@ mod tests {
     #[test]
     fn streaming_matches_pure_codec() {
         let mut buf = Vec::new();
-        let mut scratch = Vec::new();
         write_hello(&mut buf).unwrap();
-        write_message(&mut buf, 5, b"stream me", &mut scratch).unwrap();
-        write_message(&mut buf, 6, &[0u8; 1000], &mut scratch).unwrap();
+        encode_message(&mut buf, 5, b"stream me");
+        encode_message(&mut buf, 6, &[0u8; 1000]);
 
         let mut r = &buf[..];
         read_hello(&mut r).unwrap();
-        let mut payload = Vec::new();
-        assert_eq!(read_message(&mut r, &mut payload).unwrap(), Some(5));
-        assert_eq!(payload, b"stream me");
-        assert_eq!(read_message(&mut r, &mut payload).unwrap(), Some(6));
-        assert_eq!(payload, vec![0u8; 1000]);
+        let mut frame = Vec::new();
+        let zeros = [0u8; 1000];
+        assert_eq!(
+            read_message(&mut r, &mut frame).unwrap(),
+            Some((5, &b"stream me"[..]))
+        );
+        assert_eq!(
+            read_message(&mut r, &mut frame).unwrap(),
+            Some((6, &zeros[..]))
+        );
         // Clean EOF between frames.
-        assert_eq!(read_message(&mut r, &mut payload).unwrap(), None);
+        assert_eq!(read_message(&mut r, &mut frame).unwrap(), None);
         // Mid-frame EOF is Truncated, not clean.
         let mut r = &buf[..buf.len() - 3];
         read_hello(&mut r).unwrap();
-        assert_eq!(read_message(&mut r, &mut payload).unwrap(), Some(5));
+        assert_eq!(
+            read_message(&mut r, &mut frame).unwrap(),
+            Some((5, &b"stream me"[..]))
+        );
         assert!(matches!(
-            read_message(&mut r, &mut payload),
+            read_message(&mut r, &mut frame),
             Err(WireError::Truncated { .. })
+        ));
+    }
+
+    // Adversarial and property tests, mirroring the trace store's
+    // `store_properties.rs`: lossless round trips over arbitrary
+    // payloads, through the pure codec and the streaming reader alike,
+    // and typed, never panicking, errors on every class of hostile
+    // bytes.
+
+    /// A hello followed by three messages of distinct shapes (empty,
+    /// short, multi-hundred-byte) — the corruption target throughout.
+    fn valid_stream() -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_hello(&mut buf);
+        encode_message(&mut buf, 0x01, b"");
+        encode_message(&mut buf, 0x02, b"short payload");
+        let big: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        encode_message(&mut buf, 0x82, &big);
+        buf
+    }
+
+    /// Drains a full byte stream through the transport-level reader,
+    /// returning the decoded `(kind, payload)` sequence.
+    fn read_all(bytes: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, WireError> {
+        let mut r = bytes;
+        read_hello(&mut r)?;
+        let mut out = Vec::new();
+        let mut frame = Vec::new();
+        while let Some((kind, payload)) = read_message(&mut r, &mut frame)? {
+            out.push((kind, payload.to_vec()));
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        /// Any (kind, payload) sequence survives encode → decode untouched,
+        /// through both the pure codec and the streaming reader, and the
+        /// two agree with each other.
+        #[test]
+        fn messages_round_trip_any_payloads(
+            frames in proptest::collection::vec(
+                (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..600)),
+                0..8,
+            ),
+        ) {
+            let mut buf = Vec::new();
+            encode_hello(&mut buf);
+            for (kind, payload) in &frames {
+                encode_message(&mut buf, *kind, payload);
+            }
+
+            // Streaming reader.
+            let decoded = read_all(&buf).unwrap();
+            prop_assert_eq!(decoded.len(), frames.len());
+            for ((k, p), (ek, ep)) in decoded.iter().zip(&frames) {
+                prop_assert_eq!(k, ek);
+                prop_assert_eq!(p, ep);
+            }
+
+            // Pure codec over the same bytes.
+            let mut pos = decode_hello(&buf).unwrap();
+            for (ek, ep) in &frames {
+                let (k, p, n) = decode_message(&buf[pos..]).unwrap();
+                prop_assert_eq!(&k, ek);
+                prop_assert_eq!(p, ep.as_slice());
+                prop_assert_eq!(n, MESSAGE_OVERHEAD + ep.len());
+                pos += n;
+            }
+            prop_assert_eq!(pos, buf.len());
+        }
+
+        /// Truncating a valid stream anywhere yields `Truncated` — or a
+        /// clean shorter stream when the cut lands exactly between frames.
+        /// Never a panic, never a partially-delivered message.
+        #[test]
+        fn truncation_is_always_detected_or_clean(cut in 0usize..2000) {
+            let bytes = valid_stream();
+            let cut = cut % bytes.len();
+            match read_all(&bytes[..cut]) {
+                Ok(msgs) => {
+                    // Only frame boundaries at or past the hello read clean.
+                    prop_assert!(cut >= HELLO_BYTES);
+                    let mut boundary = HELLO_BYTES;
+                    for (_, p) in &msgs {
+                        boundary += MESSAGE_OVERHEAD + p.len();
+                    }
+                    prop_assert_eq!(boundary, cut, "clean read must end on a frame boundary");
+                }
+                Err(WireError::Truncated { .. }) => {}
+                Err(other) => prop_assert!(false, "unexpected error: {other}"),
+            }
+        }
+
+        /// Flipping any single bit anywhere in a valid stream produces a
+        /// typed error — the message CRC covers the header bytes too, so
+        /// unlike the trace store there is no undecoded region where a flip
+        /// can hide. Never a panic.
+        #[test]
+        fn single_bit_flips_are_always_typed_errors(pos in 0usize..2000, bit in 0u32..8) {
+            let mut bytes = valid_stream();
+            let pos = pos % bytes.len();
+            bytes[pos] ^= 1 << bit;
+            match read_all(&bytes) {
+                Err(
+                    WireError::BadMagic { .. }
+                    | WireError::UnsupportedVersion { .. }
+                    | WireError::UnsupportedFlags { .. }
+                    | WireError::ChecksumMismatch { .. }
+                    | WireError::Oversized { .. }
+                    | WireError::Truncated { .. },
+                ) => {}
+                Ok(_) => prop_assert!(false, "flip at byte {pos} bit {bit} went undetected"),
+                Err(other) => prop_assert!(false, "unexpected error class: {other}"),
+            }
+        }
+
+        /// Completely random bytes never panic either reader; whatever they
+        /// decode as, the total consumed never exceeds the input.
+        #[test]
+        fn random_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+            let _ = read_all(&bytes);
+            let _ = decode_hello(&bytes);
+            if let Ok((_, payload, n)) = decode_message(&bytes) {
+                prop_assert!(n <= bytes.len());
+                prop_assert!(payload.len() <= n);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_length_prefix_cannot_force_a_huge_allocation() {
+        // A frame header declaring a payload over the bound is rejected from
+        // the 5 header bytes alone — before any allocation of that size.
+        let mut bytes = vec![0x01u8];
+        bytes.extend_from_slice(&(MAX_MESSAGE_PAYLOAD + 1).to_le_bytes());
+        assert!(matches!(
+            decode_message(&bytes),
+            Err(WireError::Oversized { .. })
+        ));
+        let mut r = bytes.as_slice();
+        let mut frame = Vec::new();
+        assert!(matches!(
+            read_message(&mut r, &mut frame),
+            Err(WireError::Oversized { .. })
+        ));
+        assert_eq!(
+            frame.capacity(),
+            0,
+            "no payload allocation for a rejected length"
+        );
+    }
+
+    #[test]
+    fn bad_hello_fields_are_typed_errors() {
+        let mut ok = Vec::new();
+        encode_hello(&mut ok);
+
+        let mut bad = ok.clone();
+        bad[..8].copy_from_slice(b"STEMSTR1"); // trace-store magic, wrong layer
+        assert!(matches!(
+            read_all(&bad),
+            Err(WireError::BadMagic { got }) if &got == b"STEMSTR1"
+        ));
+
+        // Version 1 (the generation with the unsequenced chunk) is refused
+        // at the hello, and so is any version from the future.
+        for version in [1, WIRE_VERSION + 1] {
+            let mut bad = ok.clone();
+            bad[8..10].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                read_all(&bad),
+                Err(WireError::UnsupportedVersion { got }) if got == version
+            ));
+        }
+
+        let mut bad = ok.clone();
+        bad[10..12].copy_from_slice(&0x8000u16.to_le_bytes());
+        assert!(matches!(
+            read_all(&bad),
+            Err(WireError::UnsupportedFlags { got: 0x8000 })
         ));
     }
 }

@@ -17,7 +17,9 @@ use stems_trace::Trace;
 use stems_workloads::Workload;
 
 use crate::render::{pct, Table};
-use crate::runner::{parallel_map, prefetch_config, system_config, Predictor, Settings};
+use crate::runner::{
+    load_trace, parallel_map, prefetch_config, system_config, Predictor, Settings,
+};
 
 fn run_stems(
     workload: Workload,
@@ -57,9 +59,7 @@ pub fn ablations(settings: Settings) -> String {
 
     let workloads = [Workload::Db2, Workload::Qry2];
     let threads = settings.effective_threads();
-    let traces = parallel_map(&workloads, threads, |w| {
-        w.generate_scaled(settings.scale, settings.seed)
-    });
+    let traces = parallel_map(&workloads, threads, |w| load_trace(*w, &settings));
     let bases: Vec<u64> = parallel_map(&workloads, threads, |w| {
         let wi = workloads.iter().position(|x| x == w).expect("member");
         baseline(*w, &traces[wi], &settings)
@@ -218,6 +218,7 @@ pub fn ablations(settings: Settings) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stems_trace::store::SyncPolicy;
 
     #[test]
     fn spatial_only_ablation_collapses_dss_coverage() {
@@ -268,5 +269,33 @@ mod tests {
             with_search.placed_fraction(),
             no_search.placed_fraction()
         );
+    }
+
+    /// `--trace-dir` replays the corpus instead of generating: over a
+    /// corpus captured at seed 7, a run whose own seed is 2009 prints
+    /// what a generating run at seed 7 prints.
+    #[test]
+    fn trace_dir_replays_the_captured_corpus() {
+        let (scale, seed) = (0.002, 7);
+        let dir = std::env::temp_dir().join(format!("stems_ablate_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create corpus dir");
+        for w in [Workload::Db2, Workload::Qry2] {
+            let path = dir.join(stems_workloads::trace_file_name(w));
+            stems_workloads::capture_to_path(w, scale, seed, path, SyncPolicy::Never)
+                .expect("capture");
+        }
+        let generated = ablations(Settings {
+            scale,
+            seed,
+            ..Settings::default()
+        });
+        let replayed = ablations(Settings {
+            scale,
+            seed: 2009,
+            trace_dir: Some(dir.to_string_lossy().into()),
+            ..Settings::default()
+        });
+        std::fs::remove_dir_all(&dir).expect("remove corpus dir");
+        assert_eq!(replayed, generated);
     }
 }

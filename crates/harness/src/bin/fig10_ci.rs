@@ -22,12 +22,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// The shared settings' flags plus `--seeds`.
-const FLAGS: [Flag; 5] = [
+/// The shared settings' flags plus `--seeds`, but not `--trace-dir`:
+/// every seed's traces are generated, so a corpus would go unread.
+const FLAGS: [Flag; 4] = [
     Flag::Value("--scale"),
     Flag::Value("--seed"),
     Flag::Value("--threads"),
-    Flag::Value("--trace-dir"),
     Flag::Value("--seeds"),
 ];
 
@@ -62,7 +62,7 @@ mod tests {
         for (args, want) in accepted {
             assert_eq!(parse(args), Ok(want), "{args:?}");
         }
-        let rejected: [&[&str]; 9] = [
+        let rejected: [&[&str]; 10] = [
             &["--seeds"],
             &["--seeds", "banana"],
             &["--seeds", "0"],
@@ -73,6 +73,8 @@ mod tests {
             &["--seed", "7", "--sedes", "2"],
             &["--seeds", "2", "stray"],
             &["5"],
+            // Every seed is generated: there is no corpus to replay.
+            &["--trace-dir", "/tmp/corpus", "--seeds", "1"],
         ];
         for args in rejected {
             assert!(parse(args).is_err(), "{args:?} must be rejected");

@@ -118,7 +118,7 @@ pub enum EventKind {
     },
     /// A connection produced a protocol-level error.
     WireError {
-        /// `stems_types::wire::WireError::kind_name()` of the error.
+        /// `stems_core::protocol::WireError::kind_name()` of the error.
         kind: &'static str,
     },
     /// A chunk took longer than the configured threshold.

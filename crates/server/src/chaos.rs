@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use stems_core::protocol::HELLO_BYTES;
 use stems_types::hash::splitmix64;
-use stems_types::wire::HELLO_BYTES;
 
 /// Fatal faults are scheduled at a byte offset in
 /// `[HELLO_BYTES, HELLO_BYTES + FAULT_WINDOW)`; an offset the stream

@@ -5,9 +5,9 @@
 //! `SystemConfig`/`PrefetchConfig`/`Predictor` choice, each `SeqChunk`
 //! feeds records straight into `Session::run_chunk`, and every chunk is
 //! answered with a counter snapshot so the client can watch coverage
-//! converge while the trace streams. Message framing is
-//! `stems_types::wire`, typed payloads are `stems_core::protocol`, and
-//! the byte-level contract is `docs/WIRE_PROTOCOL.md`.
+//! converge while the trace streams. Message framing and typed payloads
+//! are `stems_core::protocol`, and the byte-level contract is
+//! `docs/WIRE_PROTOCOL.md`.
 //!
 //! The robustness plumbing a long-lived daemon needs is here rather
 //! than in the protocol:
@@ -56,10 +56,11 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use stems_core::protocol::{ChunkStats, OpenRequest, Request, Response, SessionSummary};
+use stems_core::protocol::{
+    self, ChunkStats, OpenRequest, Request, Response, SessionSummary, WireError,
+};
 use stems_core::Session;
 use stems_obs::LogLevel;
-use stems_types::wire::{self, WireError};
 
 pub mod chaos;
 pub mod obs;
@@ -173,9 +174,23 @@ struct Shared {
     connections: AtomicUsize,
 }
 
-/// The checkout-conflict error message; requests seeing it answer
-/// `Busy` (retryable) instead of a hard `Error`.
-const BUSY_SESSION: &str = "session is busy on another connection";
+/// Why the session table refused a checkout or a removal.
+#[derive(Debug, PartialEq)]
+enum Refusal {
+    /// No session has that id: a hard `Error`.
+    NoSuchSession,
+    /// Checked out by another connection: a retryable `Busy`.
+    Busy,
+}
+
+/// The `Error` reply to a request for a session id the table does not
+/// hold.
+fn no_such_session(session: u32) -> Response {
+    Response::Error {
+        session: Some(session),
+        message: "no such session".into(),
+    }
+}
 
 impl Shared {
     fn new(config: ServerConfig) -> Shared {
@@ -193,10 +208,10 @@ impl Shared {
         }
     }
 
-    fn checkout(&self, id: u32) -> Result<Box<SessionState>, &'static str> {
+    fn checkout(&self, id: u32) -> Result<Box<SessionState>, Refusal> {
         let mut table = self.table.lock().unwrap();
         match table.slots.get_mut(&id) {
-            None => Err("no such session"),
+            None => Err(Refusal::NoSuchSession),
             Some((slot @ Slot::Idle(_), touched)) => {
                 *touched = Instant::now();
                 match std::mem::replace(slot, Slot::Busy) {
@@ -204,7 +219,7 @@ impl Shared {
                     Slot::Busy => unreachable!(),
                 }
             }
-            Some((Slot::Busy, _)) => Err(BUSY_SESSION),
+            Some((Slot::Busy, _)) => Err(Refusal::Busy),
         }
     }
 
@@ -213,11 +228,11 @@ impl Shared {
         table.slots.insert(id, (Slot::Idle(state), Instant::now()));
     }
 
-    fn remove(&self, id: u32) -> Result<Box<SessionState>, &'static str> {
+    fn remove(&self, id: u32) -> Result<Box<SessionState>, Refusal> {
         let mut table = self.table.lock().unwrap();
         match table.slots.get(&id) {
-            None => Err("no such session"),
-            Some((Slot::Busy, _)) => Err(BUSY_SESSION),
+            None => Err(Refusal::NoSuchSession),
+            Some((Slot::Busy, _)) => Err(Refusal::Busy),
             Some((Slot::Idle(_), _)) => match table.slots.remove(&id) {
                 Some((Slot::Idle(state), _)) => Ok(state),
                 _ => unreachable!(),
@@ -520,10 +535,10 @@ fn shed_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    if wire::read_hello(&mut reader).is_err() {
+    if protocol::read_hello(&mut reader).is_err() {
         return;
     }
-    if wire::write_hello(&mut writer).is_err() {
+    if protocol::write_hello(&mut writer).is_err() {
         return;
     }
     let mut frame = Vec::new();
@@ -548,11 +563,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     // Hello exchange: validate the client's, then identify ourselves.
-    if wire::read_hello(&mut reader).is_err() {
+    if protocol::read_hello(&mut reader).is_err() {
         shared.obs.hello_failed();
         return;
     }
-    if wire::write_hello(&mut writer).is_err() || writer.flush().is_err() {
+    if protocol::write_hello(&mut writer).is_err() || writer.flush().is_err() {
         shared.obs.hello_failed();
         return;
     }
@@ -588,7 +603,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 // cannot build a session) would be refused again.
                 shared.obs.wire_error(&e);
                 let prefix = if e.is_transient() {
-                    stems_core::protocol::FRAMING_ERROR_PREFIX
+                    protocol::FRAMING_ERROR_PREFIX
                 } else {
                     ""
                 };
@@ -712,19 +727,14 @@ fn handle_chunk(
     };
     let state = match shared.checkout(session) {
         Ok(state) => state,
-        Err(msg) if msg == BUSY_SESSION => {
+        Err(Refusal::Busy) => {
             // Checked out by another connection: the per-tenant
             // in-flight quota (one chunk per session) answers Busy, not
             // a hard error — the client retries after backoff.
             shared.obs.chunk_shed();
             return shared.busy(Some(session));
         }
-        Err(msg) => {
-            return Response::Error {
-                session: Some(session),
-                message: msg.into(),
-            }
-        }
+        Err(Refusal::NoSuchSession) => return no_such_session(session),
     };
     // The chunk runs outside the table lock: other tenants' chunks
     // proceed concurrently, and the drain path waits for this slot to
@@ -780,16 +790,11 @@ fn handle_resume(shared: &Shared, session: u32, client_last_seq: u64) -> Respons
     }
     let state = match shared.checkout(session) {
         Ok(state) => state,
-        Err(msg) if msg == BUSY_SESSION => {
+        Err(Refusal::Busy) => {
             shared.obs.chunk_shed();
             return shared.busy(Some(session));
         }
-        Err(msg) => {
-            return Response::Error {
-                session: Some(session),
-                message: msg.into(),
-            }
-        }
+        Err(Refusal::NoSuchSession) => return no_such_session(session),
     };
     let guard = CheckoutGuard::new(shared, session, state);
     let state = guard.state.as_ref().expect("state held");
@@ -828,16 +833,13 @@ fn handle_close(shared: &Shared, session: u32) -> Response {
             shared.record_summary(session, &summary);
             Response::Summary(Box::new(summary))
         }
-        Err(msg) if msg == BUSY_SESSION => {
+        Err(Refusal::Busy) => {
             shared.obs.busy_replied();
             shared.busy(Some(session))
         }
-        Err(msg) => match shared.cached_summary(session) {
+        Err(Refusal::NoSuchSession) => match shared.cached_summary(session) {
             Some(summary) => Response::Summary(Box::new(summary)),
-            None => Response::Error {
-                session: Some(session),
-                message: msg.into(),
-            },
+            None => no_such_session(session),
         },
     }
 }
@@ -897,7 +899,7 @@ mod tests {
         // "no such session", the table can accept fresh opens, and the
         // drain path has nothing to wait on.
         assert_eq!(shared.table.lock().unwrap().len(), 0);
-        assert_eq!(shared.checkout(id).err(), Some("no such session"));
+        assert_eq!(shared.checkout(id).err(), Some(Refusal::NoSuchSession));
         let scrape = shared.obs.render(true);
         assert!(scrape.exposition.contains("stems_sessions_aborted_total 1"));
         assert!(scrape.exposition.contains("stems_sessions_open 0"));

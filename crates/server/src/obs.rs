@@ -20,13 +20,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use stems_core::protocol::MetricsReply;
+use stems_core::protocol::{MetricsReply, WireError};
 use stems_core::session::Predictor;
 use stems_obs::{
     Counter, Event, EventKind, EventRing, Gauge, LogLevel, MetricsRegistry, SessionObs,
 };
 use stems_types::clock::{MonotonicClock, SharedClock};
-use stems_types::wire::WireError;
 
 struct Tenant {
     registry: Arc<MetricsRegistry>,

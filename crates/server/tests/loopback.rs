@@ -8,21 +8,22 @@
 
 mod support;
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
 use stems_client::{Client, ClientError, ResilientClient, RetryPolicy};
 use stems_core::protocol::{
-    OpenRequest, Response, SessionSummary, FRAMING_ERROR_PREFIX, KIND_SEQ_CHUNK,
+    self, OpenRequest, Response, SessionSummary, FRAMING_ERROR_PREFIX, KIND_SEQ_CHUNK,
 };
 use stems_core::{Predictor, PrefetchConfig};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_server::ServerConfig;
 use stems_trace::store::{decode_records, encode_records, TraceReader};
 use stems_trace::Trace;
-use stems_types::{varint, wire};
+use stems_types::crc::crc32;
+use stems_types::varint;
 use support::{fail_fast, local_summary, sample, start_server, store_bytes, test_trace};
 
 /// The two golden configurations from `engine::sim`: the default small
@@ -377,14 +378,20 @@ fn send_raw_chunk(
         .expect("read timeout");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    wire::write_hello(&mut writer).expect("hello");
-    wire::read_hello(&mut reader).expect("server hello");
+    protocol::write_hello(&mut writer).expect("hello");
+    protocol::read_hello(&mut reader).expect("server hello");
     let mut payload = Vec::new();
     varint::write_u64(&mut payload, session as u64);
     varint::write_u64(&mut payload, seq);
     varint::write_u64(&mut payload, count as u64);
     payload.extend_from_slice(columns);
-    wire::write_message(&mut writer, KIND_SEQ_CHUNK, &payload, &mut Vec::new()).expect("send");
+    // Framed by hand (`docs/WIRE_PROTOCOL.md`): kind, length, payload,
+    // then a CRC-32 over all three.
+    let mut frame = vec![KIND_SEQ_CHUNK];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&crc32(&frame).to_le_bytes());
+    writer.write_all(&frame).expect("send");
     Response::read_from(&mut reader, &mut Vec::new())
         .expect("a well-formed reply")
         .expect("a reply before the close")

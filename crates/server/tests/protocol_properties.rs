@@ -63,10 +63,11 @@ fn chunk_worked_example_is_byte_exact() {
         "docs/WIRE_PROTOCOL.md worked example drifted"
     );
 
-    // And it decodes back to the same request.
-    let (kind, payload, n) = stems_types::wire::decode_message(&out).unwrap();
-    assert_eq!(n, out.len());
-    match Request::decode(kind, payload).unwrap() {
+    // And it reads back as the same request, with no byte left over.
+    let mut rest = out.as_slice();
+    let request = Request::read_from(&mut rest, &mut Vec::new(), &mut Vec::new()).unwrap();
+    assert!(rest.is_empty());
+    match request.unwrap() {
         Request::SeqChunk {
             session,
             seq,

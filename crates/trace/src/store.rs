@@ -510,13 +510,9 @@ impl<R: Read> TraceReader<R> {
     /// Wraps `src`, reading and validating the store header.
     pub fn new(mut src: R) -> Result<Self, TraceStoreError> {
         let mut header = [0u8; HEADER_BYTES];
-        src.read_exact(&mut header).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceStoreError::Truncated { frame_offset: 0 }
-            } else {
-                TraceStoreError::Io(e)
-            }
-        })?;
+        if fill(&mut src, &mut header)? != Fill::Full {
+            return Err(TraceStoreError::Truncated { frame_offset: 0 });
+        }
         if &header[0..8] != STORE_MAGIC {
             return Err(TraceStoreError::BadMagic {
                 found: header[0..8].try_into().unwrap(),
@@ -547,12 +543,10 @@ impl<R: Read> TraceReader<R> {
     pub fn next_chunk(&mut self) -> Result<Option<&[Access]>, TraceStoreError> {
         let frame_offset = self.offset;
         let mut frame_header = [0u8; FRAME_HEADER_BYTES];
-        match read_full(&mut self.src, &mut frame_header)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial => {
-                return Err(TraceStoreError::Truncated { frame_offset });
-            }
-            ReadOutcome::Full => {}
+        match fill(&mut self.src, &mut frame_header)? {
+            Fill::Eof => return Ok(None),
+            Fill::Partial => return Err(TraceStoreError::Truncated { frame_offset }),
+            Fill::Full => {}
         }
         let count = u32::from_le_bytes(frame_header[0..4].try_into().unwrap()) as usize;
         let payload_len = u32::from_le_bytes(frame_header[4..8].try_into().unwrap()) as usize;
@@ -568,9 +562,8 @@ impl<R: Read> TraceReader<R> {
         self.payload.resize(payload_len, 0);
         let mut checksum = [0u8; CHECKSUM_BYTES];
         for buf in [&mut self.payload[..], &mut checksum[..]] {
-            match read_full(&mut self.src, buf)? {
-                ReadOutcome::Full => {}
-                _ => return Err(TraceStoreError::Truncated { frame_offset }),
+            if fill(&mut self.src, buf)? != Fill::Full {
+                return Err(TraceStoreError::Truncated { frame_offset });
             }
         }
         let stored = u32::from_le_bytes(checksum);
@@ -633,34 +626,34 @@ pub fn read_store<R: Read>(src: R) -> Result<Trace, TraceStoreError> {
     TraceReader::new(src)?.read_to_trace()
 }
 
-enum ReadOutcome {
-    /// Buffer filled completely.
+/// What [`fill`] got from a stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fill {
+    /// The whole buffer (an empty buffer is always full).
     Full,
-    /// Stream ended before the first byte: a clean boundary.
+    /// Nothing: the stream ended before the first byte, a clean
+    /// boundary between frames or messages.
     Eof,
-    /// Stream ended mid-buffer: truncation.
+    /// Only part: the stream ended mid-buffer, a truncation.
     Partial,
 }
 
-/// `read_exact` that distinguishes "no more frames" (EOF on the first
-/// byte) from "frame cut short" (EOF after at least one byte).
-fn read_full<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, TraceStoreError> {
+/// Fills `buf` from `src`, retrying interrupted reads, and reports
+/// whether the stream gave all of it, none of it or only part. The
+/// store's frames and the wire protocol's messages both read through
+/// it, so each can tell a clean end of stream from a cut-short one.
+pub fn fill<R: Read>(src: &mut R, buf: &mut [u8]) -> io::Result<Fill> {
     let mut filled = 0;
     while filled < buf.len() {
         match src.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                });
-            }
+            Ok(0) if filled == 0 => return Ok(Fill::Eof),
+            Ok(0) => return Ok(Fill::Partial),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(TraceStoreError::Io(e)),
+            Err(e) => return Err(e),
         }
     }
-    Ok(ReadOutcome::Full)
+    Ok(Fill::Full)
 }
 
 /// Appends `records` to `out` as the four frame columns (pc deltas,

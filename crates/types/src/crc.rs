@@ -67,9 +67,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// `Crc32::new()` → [`update`](Crc32::update) in any split →
 /// [`finish`](Crc32::finish) produces exactly what [`crc32`] returns
-/// over the concatenation; the wire codec uses this to checksum a
-/// message header and its separately-buffered payload without copying
-/// them together.
+/// over the concatenation.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32 {
     state: u32,

@@ -42,7 +42,6 @@ pub mod pattern;
 pub mod sequence;
 pub mod smallvec;
 pub mod varint;
-pub mod wire;
 
 pub use addr::{Addr, BlockAddr, BlockOffset, Pc, RegionAddr};
 pub use bitmap::FlatBitmap;
